@@ -13,14 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, InvariantViolationError
-from .valuations import (
-    DEFAULT_DEMAND_CONFIG,
-    DemandConfig,
-    ItemSet,
-    Valuation,
-    demand_query,
-    value_query,
-)
+from .valuations import ItemSet, Valuation, demand_query, value_query
 
 PriceVector = tuple[Fraction, ...]
 Bidder = tuple[int, Valuation]
@@ -78,10 +71,6 @@ class QueryLog:
     demand: Counter = field(default_factory=Counter)
     value: Counter = field(default_factory=Counter)
 
-    def merge(self, other: "QueryLog") -> None:
-        self.demand.update(other.demand)
-        self.value.update(other.value)
-
     @property
     def total_demand(self) -> int:
         return sum(self.demand.values())
@@ -92,7 +81,6 @@ def fixed_price_auction(
     items: Iterable[int],
     prices: PriceVector,
     *,
-    config: DemandConfig = DEFAULT_DEMAND_CONFIG,
     query_log: Optional[QueryLog] = None,
 ) -> Allocation:
     """Sequential posted-price sale.
@@ -106,7 +94,7 @@ def fixed_price_auction(
     bundles: dict[int, ItemSet] = {}
     payments: dict[int, Fraction] = {}
     for bidder_id, valuation in bidders:
-        taken = demand_query(valuation, prices, allowed=remaining, config=config)
+        taken = demand_query(valuation, prices, allowed=remaining)
         if query_log is not None:
             query_log.demand[bidder_id] += 1
         bundles[bidder_id] = taken

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -50,7 +50,7 @@ from .price_tree import (
     solve_parameters,
 )
 from .rationals import RationalLike
-from .valuations import DEFAULT_DEMAND_CONFIG, DemandConfig, Valuation, value_query
+from .valuations import Valuation, value_query
 
 SECOND_PRICE = "second-price"
 LEARNING_STOPPED = "learning-stopped"
@@ -217,7 +217,6 @@ def price_learning_mechanism(
     tape: CoinTape,
     *,
     alpha: int = 2,
-    config: DemandConfig = DEFAULT_DEMAND_CONFIG,
 ) -> MechanismOutcome:
     """Iterative price learning over [psi_min, psi_max].
 
@@ -245,7 +244,7 @@ def price_learning_mechanism(
         vectors = canonical_vectors(tree, prices, i)
         group = [(b, by_id[b]) for b in groups[i - 1]]
         allocations = tuple(
-            fixed_price_auction(group, items, _halve(v), config=config, query_log=log)
+            fixed_price_auction(group, items, _halve(v), query_log=log)
             for v in vectors
         )
         records.append(IterationRecord(i, tuple(vectors), allocations))
@@ -263,7 +262,7 @@ def price_learning_mechanism(
     if selected is None:
         final_group = [(b, by_id[b]) for b in groups[params.beta]]
         selected = fixed_price_auction(
-            final_group, items, _halve(prices), config=config, query_log=log
+            final_group, items, _halve(prices), query_log=log
         )
 
     allocation = _full_allocation(selected, ids)
@@ -292,7 +291,6 @@ def final_mechanism(
     tape: CoinTape,
     *,
     alpha: int = 2,
-    config: DemandConfig = DEFAULT_DEMAND_CONFIG,
 ) -> MechanismOutcome:
     """Top-level mechanism over all bidders.
 
@@ -341,29 +339,16 @@ def final_mechanism(
     else:
         psi_min = psi_max = Fraction(1)
 
-    inner = price_learning_mechanism(
-        mech, m, psi_min, psi_max, tape, alpha=alpha, config=config
-    )
-    allocation = _full_allocation(inner.allocation, ids)
+    inner = price_learning_mechanism(mech, m, psi_min, psi_max, tape, alpha=alpha)
     value_counts = dict(log.value)
     for b, c in inner.value_queries.items():
         value_counts[b] = value_counts.get(b, 0) + c
-    return MechanismOutcome(
-        allocation=allocation,
-        welfare=inner.welfare,
-        branch=inner.branch,
-        stop_iteration=inner.stop_iteration,
-        j_star=inner.j_star,
-        demand_queries=inner.demand_queries,
+    return replace(
+        inner,
+        allocation=_full_allocation(inner.allocation, ids),
         value_queries=value_counts,
-        learned_prices=inner.learned_prices,
         bidder_ids=tuple(ids),
         bidders=tuple(bidders),
-        params=inner.params,
-        parity=inner.parity,
-        tree=inner.tree,
-        groups=inner.groups,
-        iterations=inner.iterations,
         statistics_group=tuple(b for b, _ in stat),
         statistics_welfare=stat_welfare,
     )

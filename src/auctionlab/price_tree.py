@@ -251,12 +251,6 @@ class PriceTree:
                 return node
         return None
 
-    def containing_node(self, price: Fraction, level: int) -> Optional[TreeNode]:
-        for node in self.level(level):
-            if node.belongs(price):
-                return node
-        return None
-
     def root_price_vector(self, m: int) -> tuple[Fraction, ...]:
         return (self.root.price,) * m
 

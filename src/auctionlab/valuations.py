@@ -22,14 +22,16 @@ All arithmetic is exact. The demand backend enumerates the 2^m bundles after
 scaling values and prices to a common integer grid, so comparisons are pure
 integer comparisons; beyond the enumeration cap only budget-additive
 valuations are served (by a pseudo-polynomial knapsack over integer-scaled
-prices).
+prices). ``bundle_value_table`` is the one place a valuation becomes such an
+integer table of bundle values; the oracle builds its tables with it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from math import lcm
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import CapabilityError, InstanceShapeError
 from .rationals import RationalLike, as_rational, common_scale, scaled_ints
@@ -210,6 +212,50 @@ def demand_query(
     )
 
 
+def max_subset_sums(rows: Sequence[Sequence[int]], size: int) -> list[int]:
+    """For every bit mask over ``size`` positions, the largest row sum over the
+    mask's positions (0 for no rows).
+
+    One fused pass per row: the running subset sum of the row and the running
+    maximum over rows share the loop, so no per-row table outlives it.
+    """
+    nmask = 1 << size
+    best = [0] * nmask
+    for row in rows:
+        acc = [0] * nmask
+        for mask in range(1, nmask):
+            low = mask & -mask
+            total = acc[mask ^ low] + row[low.bit_length() - 1]
+            acc[mask] = total
+            if total > best[mask]:
+                best[mask] = total
+    return best
+
+
+def valuation_scale(valuation: Valuation) -> int:
+    """Common denominator of every number the valuation holds."""
+    if isinstance(valuation, XosValuation):
+        return common_scale(v for c in valuation.clauses for v in c.item_values)
+    return common_scale([*valuation.item_values, valuation.budget])
+
+
+def bundle_value_table(
+    valuation: Valuation, items: Sequence[int], scale: int
+) -> list[int]:
+    """``scale * v(S)`` for every subset S of ``items``, indexed by bit mask
+    (bit b stands for ``items[b]``). ``scale`` must be a multiple of
+    ``valuation_scale(valuation)``, so every entry is an exact integer."""
+    if isinstance(valuation, XosValuation):
+        rows = [
+            scaled_ints((c.item_values[j] for j in items), scale)
+            for c in valuation.clauses
+        ]
+        return max_subset_sums(rows, len(items))
+    row = scaled_ints((valuation.item_values[j] for j in items), scale)
+    (cap,) = scaled_ints([valuation.budget], scale)
+    return [min(cap, t) for t in max_subset_sums([row], len(items))]
+
+
 def _demand_enumerate(
     valuation: Valuation,
     prices: tuple[Fraction, ...],
@@ -220,35 +266,9 @@ def _demand_enumerate(
 
     # One common integer grid for every value and price keeps the inner loop
     # in exact integer arithmetic.
-    if isinstance(valuation, XosValuation):
-        rows = [[c.item_values[j] for j in allowed] for c in valuation.clauses]
-        flat = [v for row in rows for v in row]
-        cap = None
-    else:
-        rows = [[valuation.item_values[j] for j in allowed]]
-        flat = list(rows[0]) + [valuation.budget]
-        cap = valuation.budget
-    scale = common_scale(flat + [prices[j] for j in allowed])
-
-    weights = scaled_ints((prices[j] for j in allowed), scale)
-    cost = [0] * nmask
-    for mask in range(1, nmask):
-        low = mask & -mask
-        cost[mask] = cost[mask ^ low] + weights[low.bit_length() - 1]
-
-    best_value = [0] * nmask
-    for row in rows:
-        vals = [int(v * scale) for v in row]
-        acc = [0] * nmask
-        for mask in range(1, nmask):
-            low = mask & -mask
-            total = acc[mask ^ low] + vals[low.bit_length() - 1]
-            acc[mask] = total
-            if total > best_value[mask]:
-                best_value[mask] = total
-    if cap is not None:
-        cap_scaled = int(cap * scale)
-        best_value = [min(cap_scaled, v) for v in best_value]
+    scale = lcm(valuation_scale(valuation), common_scale(prices[j] for j in allowed))
+    cost = max_subset_sums([scaled_ints((prices[j] for j in allowed), scale)], size)
+    best_value = bundle_value_table(valuation, allowed, scale)
 
     def index_tuple(mask: int) -> tuple[int, ...]:
         return tuple(allowed[b] for b in range(size) if mask >> b & 1)

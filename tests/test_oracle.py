@@ -8,6 +8,7 @@ import pytest
 
 from auctionlab.auction import Allocation
 from auctionlab.errors import CapabilityError, InvariantViolationError
+from auctionlab.harness import GeneratorSpec, generate_instance
 from auctionlab.oracle import brute_force_opt, welfare
 from auctionlab.valuations import additive, budget_additive, value_query, xos
 
@@ -29,12 +30,12 @@ def naive_opt(valuations, m):
     return best_welfare, best_assignment
 
 
-def random_valuation(rng, m):
+def random_valuation(rng, m, hi=9):
     if rng.random() < 0.5:
         return xos(
-            *[[rng.randint(0, 9) for _ in range(m)] for _ in range(rng.randint(1, 3))]
+            *[[rng.randint(0, hi) for _ in range(m)] for _ in range(rng.randint(1, 3))]
         )
-    return budget_additive([rng.randint(0, 9) for _ in range(m)], rng.randint(0, 15))
+    return budget_additive([rng.randint(0, hi) for _ in range(m)], rng.randint(0, 15))
 
 
 class TestBruteForceOpt:
@@ -60,6 +61,17 @@ class TestBruteForceOpt:
         with pytest.raises(CapabilityError):
             brute_force_opt([additive((1, 1))] * 2, 2, assignment_cap=8)
 
+    def test_default_cap_bounds_subset_splits(self):
+        # 8 * 3^10 splits fit under the default cap, although 9^10
+        # assignment vectors would not.
+        inst = generate_instance(GeneratorSpec(8, 10, seed=5))
+        sol = brute_force_opt(list(inst.valuations), 10)
+        assert sol.welfare == welfare(sol.allocation, inst.valuations)
+        # 3^17 splits exceed it even for one bidder; refused before any work,
+        # so a valuation that would fail to build a table is never touched.
+        with pytest.raises(CapabilityError, match="subset splits"):
+            brute_force_opt([None], 17)
+
     def test_matches_naive_scan_with_ties(self):
         rng = random.Random(2024)
         for _ in range(40):
@@ -72,6 +84,14 @@ class TestBruteForceOpt:
             # matching assignment vector, including the lexicographic tie-break
             translated = tuple(n if a == n else a for a in sol.assignment)
             assert translated == ref_assignment
+        # Values in {0, 1, 2} make optimal allocations tie often.
+        rng = random.Random(4242)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            m = rng.randint(1, 5)
+            vals = [random_valuation(rng, m, hi=2) for _ in range(n)]
+            sol = brute_force_opt(vals, m)
+            assert (sol.welfare, sol.assignment) == naive_opt(vals, m)
 
     def test_deterministic(self):
         vals = [xos((4, 4), (1, 6)), budget_additive((3, 3), 4)]

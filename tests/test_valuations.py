@@ -1,5 +1,6 @@
 """Value, demand, and supporting-price queries against direct enumeration."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,8 +13,10 @@ from auctionlab.valuations import (
     DemandConfig,
     additive,
     budget_additive,
+    bundle_value_table,
     demand_query,
     supporting_prices,
+    valuation_scale,
     value_query,
     xos,
 )
@@ -55,6 +58,51 @@ class TestValueQuery:
         for k in range(4):
             for combo in combinations(range(3), k):
                 assert value_query(ba, combo) == value_query(add, combo)
+
+
+class TestBundleValueTable:
+    """The integer bundle table shared by demand enumeration and the oracle,
+    checked mask by mask against exact value queries."""
+
+    @staticmethod
+    def assert_matches_value_query(v, items, scale):
+        table = bundle_value_table(v, items, scale)
+        assert len(table) == 1 << len(items)
+        for mask, entry in enumerate(table):
+            bundle = [items[b] for b in range(len(items)) if mask >> b & 1]
+            assert entry == scale * value_query(v, bundle)
+
+    def test_xos_with_fractional_entries(self):
+        v = xos(("1/3", "2.5", 0, "7/4"), ("3/2", "1/6", 2, "0.2"))
+        scale = valuation_scale(v)
+        assert scale == 60
+        self.assert_matches_value_query(v, (0, 1, 2, 3), scale)
+        self.assert_matches_value_query(v, (1, 3), 2 * scale)
+
+    def test_binding_budget(self):
+        v = budget_additive(("1/3", "2.5", "3/4", 2), "2/7")
+        scale = valuation_scale(v)
+        table = bundle_value_table(v, (0, 1, 2, 3), scale)
+        assert table[0b0001] == scale * Fraction(2, 7)  # 1/3 alone is capped
+        assert max(table) == scale * Fraction(2, 7)
+        self.assert_matches_value_query(v, (0, 1, 2, 3), scale)
+        self.assert_matches_value_query(v, (0, 2), 3 * scale)
+
+    def test_random_valuations(self):
+        rng = random.Random(31)
+
+        def entry():
+            return Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 5, 7]))
+
+        for _ in range(60):
+            m = rng.randint(0, 6)
+            if rng.random() < 0.5:
+                clauses = rng.randint(1, 3)
+                v = xos(*[[entry() for _ in range(m)] for _ in range(clauses)])
+            else:
+                v = budget_additive([entry() for _ in range(m)], entry())
+            items = tuple(j for j in range(m) if rng.random() < 0.7)
+            self.assert_matches_value_query(v, items, valuation_scale(v))
 
 
 class TestDemandQuery:
