@@ -56,7 +56,6 @@ from .trace import AnalysisTrace, build_trace, check_learnable_or_allocatable
 from .valuations import (
     AdditiveClause,
     BudgetAdditiveValuation,
-    DemandConfig,
     Valuation,
     XosValuation,
     additive,

@@ -19,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import AuctionLabError, InvariantViolationError
+from .errors import AuctionLabError, ConfigError, InvariantViolationError
 from .harness import (
     ExperimentConfig,
     GeneratorSpec,
@@ -50,8 +50,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _rational_arg(text: str) -> Fraction:
+    try:
+        return as_rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def _cmd_params(args: argparse.Namespace) -> int:
-    params = solve_parameters(as_rational(args.psi_min), as_rational(args.psi_max))
+    params = solve_parameters(args.psi_min, args.psi_max)
     print(
         json.dumps(
             {
@@ -82,6 +89,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     instance = load_instance(args.instance)
     optimal = brute_force_opt(list(instance.valuations), instance.item_count)
     positive = [q for q in optimal.supporting_prices if q > 0]
@@ -182,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_gen)
 
     params = sub.add_parser("params", help="solve discretization parameters")
-    params.add_argument("--psi-min", required=True)
-    params.add_argument("--psi-max", required=True)
+    params.add_argument("--psi-min", required=True, type=_rational_arg)
+    params.add_argument("--psi-max", required=True, type=_rational_arg)
     params.set_defaults(func=_cmd_params)
 
     run = sub.add_parser("run", help="Monte Carlo experiment on an instance")

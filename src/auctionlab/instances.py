@@ -98,7 +98,7 @@ def instance_from_dict(data: dict) -> Instance:
                     f'bidder {i}: unknown kind {kind!r} '
                     '(expected "xos" or "budget_additive")'
                 )
-        except (KeyError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InstanceShapeError(f"bidder {i}: {exc}") from None
     return Instance(m, tuple(valuations))
 

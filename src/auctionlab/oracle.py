@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import lcm
 from typing import Mapping, Sequence, Union
 
@@ -32,7 +31,6 @@ from .valuations import (
     XosValuation,
     bundle_value_table,
     supporting_prices,
-    valuation_scale,
     value_query,
 )
 
@@ -95,7 +93,7 @@ def brute_force_opt(
             (n,) * m,
         )
 
-    scale = reduce(lcm, map(valuation_scale, valuations))
+    scale = lcm(*(v.scale for v in valuations))
     items = range(m)
     nmask = 1 << m
     # digits[S] reads S's 0/1 item vector in base n+1, item 0 most significant.

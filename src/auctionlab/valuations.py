@@ -18,18 +18,23 @@ Queries:
 * ``supporting_prices(v, S)`` -- per-item prices from a maximizing clause of
   S; they sum to ``value_query(v, S)`` and under-estimate every sub-bundle.
 
-All arithmetic is exact. The demand backend enumerates the 2^m bundles after
-scaling values and prices to a common integer grid, so comparisons are pure
-integer comparisons; beyond the enumeration cap only budget-additive
-valuations are served (by a pseudo-polynomial knapsack over integer-scaled
-prices). ``bundle_value_table`` is the one place a valuation becomes such an
-integer table of bundle values; the oracle builds its tables with it too.
+All arithmetic is exact. Each valuation works out its integer grid once:
+``scale`` is the common denominator of every number it holds, and ``rows``
+(XOS) or ``row`` and ``cap`` (budget-additive) are those numbers times
+``scale``. Bundle values are integer sums on that grid, turned into one
+``Fraction`` at the end. The demand backend enumerates the 2^m bundles on a
+grid shared with the prices, so comparisons are pure integer comparisons.
+Beyond ``ENUMERATION_CAP`` items only budget-additive valuations are served,
+by a pseudo-polynomial knapsack indexed by value sum on the valuation's grid.
+``bundle_value_table`` is the one place a valuation becomes an integer table
+of bundle values; the oracle builds its tables with it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -37,6 +42,11 @@ from .errors import CapabilityError, InstanceShapeError
 from .rationals import RationalLike, as_rational, common_scale, scaled_ints
 
 ItemSet = frozenset[int]
+
+# Demand queries over more items than this are not enumerated.
+ENUMERATION_CAP = 20
+# The budget-additive knapsack refuses tables with more cells than this.
+KNAPSACK_CELL_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -49,9 +59,6 @@ class AdditiveClause:
         for v in self.item_values:
             if v < 0:
                 raise InstanceShapeError(f"negative clause entry {v}")
-
-    def total(self, items: Iterable[int]) -> Fraction:
-        return sum((self.item_values[j] for j in items), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -77,20 +84,28 @@ class XosValuation:
     def item_count(self) -> int:
         return len(self.clauses[0].item_values)
 
+    @cached_property
+    def scale(self) -> int:
+        """Common denominator of every clause entry."""
+        return common_scale(v for c in self.clauses for v in c.item_values)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each clause's entries times ``scale``."""
+        return tuple(
+            tuple(scaled_ints(c.item_values, self.scale)) for c in self.clauses
+        )
+
     def value(self, items: Iterable[int]) -> Fraction:
         bundle = tuple(items)
-        return max(c.total(bundle) for c in self.clauses)
+        total = max(sum(map(row.__getitem__, bundle)) for row in self.rows)
+        return Fraction(total, self.scale)
 
     def maximizing_clause(self, items: Iterable[int]) -> int:
         """Index of a clause attaining the bundle's value (lowest index wins)."""
         bundle = tuple(items)
-        best_idx = 0
-        best = self.clauses[0].total(bundle)
-        for idx, c in enumerate(self.clauses[1:], start=1):
-            total = c.total(bundle)
-            if total > best:
-                best, best_idx = total, idx
-        return best_idx
+        totals = [sum(map(row.__getitem__, bundle)) for row in self.rows]
+        return totals.index(max(totals))
 
 
 @dataclass(frozen=True)
@@ -111,9 +126,24 @@ class BudgetAdditiveValuation:
     def item_count(self) -> int:
         return len(self.item_values)
 
+    @cached_property
+    def scale(self) -> int:
+        """Common denominator of the item values and the budget."""
+        return common_scale([*self.item_values, self.budget])
+
+    @cached_property
+    def row(self) -> tuple[int, ...]:
+        """The item values times ``scale``."""
+        return tuple(scaled_ints(self.item_values, self.scale))
+
+    @cached_property
+    def cap(self) -> int:
+        """The budget times ``scale``."""
+        return self.budget.numerator * self.scale // self.budget.denominator
+
     def value(self, items: Iterable[int]) -> Fraction:
-        total = sum((self.item_values[j] for j in items), Fraction(0))
-        return min(self.budget, total)
+        total = sum(map(self.row.__getitem__, items))
+        return Fraction(min(self.cap, total), self.scale)
 
 
 Valuation = Union[XosValuation, BudgetAdditiveValuation]
@@ -137,25 +167,6 @@ def budget_additive(
     return BudgetAdditiveValuation(
         tuple(as_rational(v) for v in values), as_rational(budget)
     )
-
-
-@dataclass(frozen=True)
-class DemandConfig:
-    """Knobs for the demand-query backends.
-
-    ``enumeration_cap`` bounds the bundle count for exhaustive search (in
-    items). Beyond it, budget-additive valuations fall back to a knapsack
-    dynamic program over integer-scaled prices: ``price_scale=None`` scales by
-    the exact common denominator (exact answers at desk scale), a positive int
-    rounds prices down to that grid. ``knapsack_cell_cap`` bounds the DP table.
-    """
-
-    enumeration_cap: int = 20
-    price_scale: Optional[int] = None
-    knapsack_cell_cap: int = 5_000_000
-
-
-DEFAULT_DEMAND_CONFIG = DemandConfig()
 
 
 def _check_items(m: int, items: Iterable[int]) -> ItemSet:
@@ -186,14 +197,14 @@ def demand_query(
     valuation: Valuation,
     prices: tuple[Fraction, ...],
     allowed: Optional[Iterable[int]] = None,
-    config: DemandConfig = DEFAULT_DEMAND_CONFIG,
 ) -> ItemSet:
     """A bundle maximizing v(S) - p(S) over subsets of ``allowed``.
 
     Ties go to the bundle with fewer items, then to the lexicographically
     smallest sorted index sequence, so repeated queries are replayable. The
     empty bundle (profit 0) is always available, hence the result never has
-    negative profit.
+    negative profit. Past ``ENUMERATION_CAP`` allowed items the answer is some
+    profit-maximizing bundle, with the knapsack's own tie-break.
     """
     m = valuation.item_count
     _check_prices(m, prices)
@@ -202,13 +213,13 @@ def demand_query(
     else:
         allowed_items = tuple(sorted(_check_items(m, allowed)))
 
-    if len(allowed_items) <= config.enumeration_cap:
+    if len(allowed_items) <= ENUMERATION_CAP:
         return _demand_enumerate(valuation, prices, allowed_items)
     if isinstance(valuation, BudgetAdditiveValuation):
-        return _demand_knapsack(valuation, prices, allowed_items, config)
+        return _demand_knapsack(valuation, prices, allowed_items)
     raise CapabilityError(
         f"{len(allowed_items)} items exceed the enumeration cap "
-        f"({config.enumeration_cap}) and no specialized backend applies"
+        f"({ENUMERATION_CAP}) and no specialized backend applies"
     )
 
 
@@ -216,27 +227,17 @@ def max_subset_sums(rows: Sequence[Sequence[int]], size: int) -> list[int]:
     """For every bit mask over ``size`` positions, the largest row sum over the
     mask's positions (0 for no rows).
 
-    One fused pass per row: the running subset sum of the row and the running
-    maximum over rows share the loop, so no per-row table outlives it.
+    Each row's subset sums are built by doubling: appending one more entry
+    appends its sum with every subset so far, so bit b of the index stands
+    for ``row[b]``.
     """
-    nmask = 1 << size
-    best = [0] * nmask
+    best = [0] * (1 << size)
     for row in rows:
-        acc = [0] * nmask
-        for mask in range(1, nmask):
-            low = mask & -mask
-            total = acc[mask ^ low] + row[low.bit_length() - 1]
-            acc[mask] = total
-            if total > best[mask]:
-                best[mask] = total
+        sums = [0]
+        for x in row:
+            sums += [s + x for s in sums]
+        best = list(map(max, best, sums))
     return best
-
-
-def valuation_scale(valuation: Valuation) -> int:
-    """Common denominator of every number the valuation holds."""
-    if isinstance(valuation, XosValuation):
-        return common_scale(v for c in valuation.clauses for v in c.item_values)
-    return common_scale([*valuation.item_values, valuation.budget])
 
 
 def bundle_value_table(
@@ -244,15 +245,13 @@ def bundle_value_table(
 ) -> list[int]:
     """``scale * v(S)`` for every subset S of ``items``, indexed by bit mask
     (bit b stands for ``items[b]``). ``scale`` must be a multiple of
-    ``valuation_scale(valuation)``, so every entry is an exact integer."""
+    ``valuation.scale``, so every entry is an exact integer."""
+    factor = scale // valuation.scale
     if isinstance(valuation, XosValuation):
-        rows = [
-            scaled_ints((c.item_values[j] for j in items), scale)
-            for c in valuation.clauses
-        ]
+        rows = [[row[j] * factor for j in items] for row in valuation.rows]
         return max_subset_sums(rows, len(items))
-    row = scaled_ints((valuation.item_values[j] for j in items), scale)
-    (cap,) = scaled_ints([valuation.budget], scale)
+    row = [valuation.row[j] * factor for j in items]
+    cap = valuation.cap * factor
     return [min(cap, t) for t in max_subset_sums([row], len(items))]
 
 
@@ -262,11 +261,9 @@ def _demand_enumerate(
     allowed: tuple[int, ...],
 ) -> ItemSet:
     size = len(allowed)
-    nmask = 1 << size
-
     # One common integer grid for every value and price keeps the inner loop
     # in exact integer arithmetic.
-    scale = lcm(valuation_scale(valuation), common_scale(prices[j] for j in allowed))
+    scale = lcm(valuation.scale, common_scale(prices[j] for j in allowed))
     cost = max_subset_sums([scaled_ints((prices[j] for j in allowed), scale)], size)
     best_value = bundle_value_table(valuation, allowed, scale)
 
@@ -276,7 +273,7 @@ def _demand_enumerate(
     best_mask = 0
     best_profit = 0
     best_pop = 0
-    for mask in range(1, nmask):
+    for mask in range(1, 1 << size):
         profit = best_value[mask] - cost[mask]
         if profit < best_profit:
             continue
@@ -294,60 +291,53 @@ def _demand_knapsack(
     valuation: BudgetAdditiveValuation,
     prices: tuple[Fraction, ...],
     allowed: tuple[int, ...],
-    config: DemandConfig,
 ) -> ItemSet:
     """Budget-additive demand beyond the enumeration cap.
 
-    The table is indexed by total scaled price; each cell keeps the maximum
-    obtainable value sum at exactly that spend. The profit of a cell is then
-    min(budget, value) - spend, compared exactly over all cells. Exact demand
-    for budget-additive valuations is knapsack-hard, so this is deliberately
-    pseudo-polynomial; the cell cap guards against degenerate price grids.
+    The table is indexed by value sum on the valuation's grid; each cell keeps
+    the least spend that reaches exactly that value sum. The profit of a cell
+    is then min(cap, value) - spend, compared exactly over all cells. Exact
+    demand for budget-additive valuations is knapsack-hard, so this is
+    deliberately pseudo-polynomial in the valuation's scaled values, whatever
+    the prices; the cell cap guards against very fine value grids.
 
     The returned set is a profit maximizer; its tie-break is determined by the
-    DP reconstruction (prefer leaving an item out), which need not coincide
-    with the enumeration backend's cardinality-then-lex rule.
+    DP reconstruction (prefer the smaller value sum, then leaving an item
+    out), which need not coincide with the enumeration backend's
+    cardinality-then-lex rule.
     """
-    if config.price_scale is None:
-        scale = common_scale(prices[j] for j in allowed)
-        weights = scaled_ints((prices[j] for j in allowed), scale)
-    else:
-        scale = config.price_scale
-        weights = [int(prices[j] * scale) for j in allowed]  # floor
-
-    total = sum(weights)
-    if total + 1 > config.knapsack_cell_cap:
+    values = [valuation.row[j] for j in allowed]
+    total = sum(values)
+    if total + 1 > KNAPSACK_CELL_CAP:
         raise CapabilityError(
             f"knapsack table of {total + 1} cells exceeds the cap "
-            f"({config.knapsack_cell_cap})"
+            f"({KNAPSACK_CELL_CAP})"
         )
+    price_scale = common_scale(prices[j] for j in allowed)
+    weights = scaled_ints((prices[j] for j in allowed), price_scale)
 
-    vscale = common_scale(
-        [valuation.budget] + [valuation.item_values[j] for j in allowed]
-    )
-    values = [int(valuation.item_values[j] * vscale) for j in allowed]
-    budget_scaled = int(valuation.budget * vscale)
-
-    NEG = -1
-    best = [NEG] * (total + 1)
+    # A spend above every reachable one marks a cell no bundle reaches.
+    unreached = sum(weights) + 1
+    best = [unreached] * (total + 1)
     best[0] = 0
     take: list[bytearray] = []
-    for idx, (w, v) in enumerate(zip(weights, values)):
+    for w, v in zip(weights, values):
         marks = bytearray(total + 1)
-        for c in range(total, w - 1, -1):
-            prev = best[c - w]
-            if prev != NEG and prev + v > best[c]:
-                best[c] = prev + v
+        for c in range(total, v - 1, -1):
+            spend = best[c - v] + w
+            if spend < best[c]:
+                best[c] = spend
                 marks[c] = 1
         take.append(marks)
 
-    best_profit = Fraction(0)
+    # Profits times valuation.scale * price_scale, so they stay integers.
+    best_profit = 0
     best_cell = 0
     for c in range(total + 1):
-        if best[c] == NEG:
+        if best[c] == unreached:
             continue
-        profit = Fraction(min(budget_scaled, best[c]), vscale) - Fraction(c, scale)
-        if profit > best_profit or (profit == best_profit and c < best_cell):
+        profit = min(valuation.cap, c) * price_scale - best[c] * valuation.scale
+        if profit > best_profit:
             best_profit, best_cell = profit, c
 
     chosen: list[int] = []
@@ -355,7 +345,7 @@ def _demand_knapsack(
     for idx in range(len(allowed) - 1, -1, -1):
         if take[idx][c]:
             chosen.append(allowed[idx])
-            c -= weights[idx]
+            c -= values[idx]
     return frozenset(chosen)
 
 

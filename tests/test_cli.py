@@ -111,3 +111,31 @@ def test_missing_instance_is_usage_error(capsys):
 
 def test_bad_params_is_usage_error(capsys):
     assert main(["params", "--psi-min", "0", "--psi-max", "5"]) == 2
+
+
+@pytest.mark.parametrize(
+    "bidder",
+    [
+        {"kind": "xos", "clauses": [[1.5]]},
+        {"kind": "budget_additive", "values": ["1"], "budget": None},
+        {"kind": "xos", "clauses": 5},
+    ],
+    ids=["float-entry", "null-budget", "non-list-clauses"],
+)
+def test_malformed_instance_is_usage_error(tmp_path, capsys, bidder):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"m": 1, "bidders": [bidder]}))
+    assert main(["run", "--instance", str(path)]) == 2
+    assert "bidder 0" in capsys.readouterr().err
+
+
+def test_non_rational_param_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["params", "--psi-min", "abc", "--psi-max", "5"])
+    assert exc.value.code == 2
+    assert "not a rational number: 'abc'" in capsys.readouterr().err
+
+
+def test_trace_without_seeds_is_usage_error(capsys, instance_file):
+    assert main(["trace", "--instance", instance_file, "--seeds", "0"]) == 2
+    assert "--seeds must be at least 1" in capsys.readouterr().err

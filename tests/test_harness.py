@@ -12,6 +12,7 @@ from auctionlab.harness import (
     generate_instance,
     report_to_csv,
     run_experiment,
+    run_trial,
     truthfulness_report,
 )
 from auctionlab.instances import (
@@ -175,6 +176,15 @@ class TestExperiments:
             ExperimentConfig(inst, trials=2, oracle_cap=10, measure_ratio=False)
         )
         assert report.opt is None
+
+    @pytest.mark.parametrize("seed", [2, 6])
+    def test_budget_additive_past_enumeration_cap(self, seed):
+        # 24 items: demand queries over more than 20 allowed items go to the
+        # budget-additive knapsack, at the mechanism's posted prices.
+        inst = generate_instance(GeneratorSpec(40, 24, "budget-additive", seed=1))
+        result = run_trial(inst, seed)
+        assert result.demand_queries > 0
+        assert result.welfare >= result.payments_total >= 0
 
     def test_bad_trial_count(self):
         inst = Instance(1, (xos((1,)),))

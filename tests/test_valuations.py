@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 
 from auctionlab.errors import CapabilityError, InstanceShapeError
 from auctionlab.valuations import (
-    DemandConfig,
+    ENUMERATION_CAP,
+    KNAPSACK_CELL_CAP,
+    XosValuation,
+    _demand_knapsack,
     additive,
     budget_additive,
     bundle_value_table,
     demand_query,
+    max_subset_sums,
     supporting_prices,
-    valuation_scale,
     value_query,
     xos,
 )
@@ -33,6 +36,101 @@ def enumerate_best_profit(valuation, prices, items):
             if profit > best:
                 best = profit
     return best
+
+
+def fraction_value(valuation, items):
+    """Reference v(S): the definition summed in ``Fraction``."""
+    if isinstance(valuation, XosValuation):
+        return max(fraction_clause_totals(valuation, items))
+    total = sum((valuation.item_values[j] for j in items), Fraction(0))
+    return min(valuation.budget, total)
+
+
+def fraction_clause_totals(valuation, items):
+    return [
+        sum((c.item_values[j] for j in items), Fraction(0)) for c in valuation.clauses
+    ]
+
+
+def fused_max_subset_sums(rows, size):
+    """Reference subset-sum kernel: one pass over every mask per row, the
+    running subset sum and the running maximum sharing the loop."""
+    nmask = 1 << size
+    best = [0] * nmask
+    for row in rows:
+        acc = [0] * nmask
+        for mask in range(1, nmask):
+            low = mask & -mask
+            total = acc[mask ^ low] + row[low.bit_length() - 1]
+            acc[mask] = total
+            if total > best[mask]:
+                best[mask] = total
+    return best
+
+
+def random_fractional_valuation(rng, m):
+    def entry():
+        return Fraction(rng.randint(0, 40), rng.choice([1, 2, 3, 4, 7, 100]))
+
+    if rng.random() < 0.5:
+        return xos(*[[entry() for _ in range(m)] for _ in range(rng.randint(1, 4))])
+    return budget_additive([entry() for _ in range(m)], entry())
+
+
+class TestIntegerGrid:
+    """Integer bundle sums on the valuation's own grid, checked against the
+    ``Fraction`` definition."""
+
+    def test_value_query_matches_fraction_sums(self):
+        rng = random.Random(2024)
+        for _ in range(80):
+            m = rng.randint(0, 7)
+            v = random_fractional_valuation(rng, m)
+            for _ in range(6):
+                bundle = [j for j in range(m) if rng.random() < 0.5]
+                assert value_query(v, bundle) == fraction_value(v, bundle)
+
+    def test_maximizing_clause_matches_fraction_sums(self):
+        rng = random.Random(2025)
+
+        def entry():
+            # Few distinct values, so clause totals often tie.
+            return Fraction(rng.randint(0, 3), rng.choice([1, 2, 3]))
+
+        for _ in range(80):
+            m = rng.randint(0, 6)
+            v = xos(*[[entry() for _ in range(m)] for _ in range(rng.randint(1, 4))])
+            bundle = [j for j in range(m) if rng.random() < 0.6]
+            totals = fraction_clause_totals(v, bundle)
+            assert v.maximizing_clause(bundle) == totals.index(max(totals))
+
+    def test_grid_fields(self):
+        v = xos(("1/3", "2.5"), ("3/2", 0))
+        assert (v.scale, v.rows) == (6, ((2, 15), (9, 0)))
+        b = budget_additive(("1/4", 2), "5/6")
+        assert (b.scale, b.row, b.cap) == (12, (3, 24), 10)
+
+    def test_cached_fields_ignored_by_eq_hash_repr(self):
+        for make in (
+            lambda: xos(("1/3", "2.5"), ("3/2", 0)),
+            lambda: budget_additive(("1/4", 2), "5/6"),
+        ):
+            warm, cold = make(), make()
+            text = repr(cold)
+            value_query(warm, {0, 1})
+            demand_query(warm, (Fraction(1), Fraction(1)))
+            assert "scale" in vars(warm) and "scale" not in vars(cold)
+            assert warm == cold and hash(warm) == hash(cold)
+            assert repr(warm) == text
+
+
+class TestSubsetSumKernel:
+    def test_matches_fused_reference(self):
+        rng = random.Random(606)
+        for size in range(14):
+            for nrows in range(4):
+                rows = [[rng.randint(0, 99) for _ in range(size)] for _ in range(nrows)]
+                assert max_subset_sums(rows, size) == fused_max_subset_sums(rows, size)
 
 
 class TestValueQuery:
@@ -74,14 +172,14 @@ class TestBundleValueTable:
 
     def test_xos_with_fractional_entries(self):
         v = xos(("1/3", "2.5", 0, "7/4"), ("3/2", "1/6", 2, "0.2"))
-        scale = valuation_scale(v)
+        scale = v.scale
         assert scale == 60
         self.assert_matches_value_query(v, (0, 1, 2, 3), scale)
         self.assert_matches_value_query(v, (1, 3), 2 * scale)
 
     def test_binding_budget(self):
         v = budget_additive(("1/3", "2.5", "3/4", 2), "2/7")
-        scale = valuation_scale(v)
+        scale = v.scale
         table = bundle_value_table(v, (0, 1, 2, 3), scale)
         assert table[0b0001] == scale * Fraction(2, 7)  # 1/3 alone is capped
         assert max(table) == scale * Fraction(2, 7)
@@ -102,7 +200,7 @@ class TestBundleValueTable:
             else:
                 v = budget_additive([entry() for _ in range(m)], entry())
             items = tuple(j for j in range(m) if rng.random() < 0.7)
-            self.assert_matches_value_query(v, items, valuation_scale(v))
+            self.assert_matches_value_query(v, items, v.scale)
 
 
 class TestDemandQuery:
@@ -131,9 +229,9 @@ class TestDemandQuery:
         assert demand_query(v, (Fraction(1), Fraction(1)), allowed={1}) == {1}
 
     def test_enumeration_cap_raises_for_xos(self):
-        v = additive([1] * 6)
-        with pytest.raises(CapabilityError):
-            demand_query(v, (Fraction(0),) * 6, config=DemandConfig(enumeration_cap=5))
+        m = ENUMERATION_CAP + 1
+        with pytest.raises(CapabilityError, match="enumeration cap"):
+            demand_query(additive([1] * m), (Fraction(0),) * m)
 
     def test_profit_matches_enumeration_on_random_instances(self):
         import random
@@ -160,10 +258,7 @@ class TestDemandQuery:
             assert profit == enumerate_best_profit(v, prices, range(m))
 
     def test_knapsack_backend_agrees_with_enumeration(self):
-        import random
-
         rng = random.Random(77)
-        forced = DemandConfig(enumeration_cap=2)
         for _ in range(40):
             m = rng.randint(3, 7)
             v = budget_additive(
@@ -171,29 +266,40 @@ class TestDemandQuery:
                 Fraction(rng.randint(0, 30), 2),
             )
             prices = tuple(Fraction(rng.randint(0, 6), 4) for _ in range(m))
-            bundle = demand_query(v, prices, config=forced)
+            bundle = _demand_knapsack(v, prices, tuple(range(m)))
             profit = value_query(v, bundle) - sum(
                 (prices[j] for j in bundle), Fraction(0)
             )
             assert profit == enumerate_best_profit(v, prices, range(m))
 
-    def test_knapsack_with_coarse_price_grid(self):
-        # price_scale=1 floors every 5/3 price to 1; the table then holds
-        # values (0,4,8,9) at spends (0,1,2,3), profits (0,3,6,6), and the
-        # spend-2 cell wins the tie, reconstructing to {0,1}
-        v = budget_additive((4, 4, 4), 9)
-        prices = (Fraction(5, 3), Fraction(5, 3), Fraction(5, 3))
-        coarse = DemandConfig(enumeration_cap=2, price_scale=1)
-        first = demand_query(v, prices, config=coarse)
-        assert first == demand_query(v, prices, config=coarse)
-        assert first == {0, 1}
+    def test_knapsack_at_mechanism_price_grid(self):
+        # Posted prices carry denominators like 2 * 100 * m^2; the table is
+        # indexed by value sum, so its size does not grow with them.
+        rng = random.Random(1911)
+        den = 2 * 100 * 24**2
+        for m in range(3, 9):
+            for _ in range(8):
+                v = budget_additive(
+                    [Fraction(rng.randint(100, 10_000), 100) for _ in range(m)],
+                    Fraction(rng.randint(100, 30_000), 100),
+                )
+                prices = tuple(
+                    Fraction(rng.randint(0, 60 * den), den) for _ in range(m)
+                )
+                allowed = tuple(j for j in range(m) if rng.random() < 0.8)
+                bundle = _demand_knapsack(v, prices, allowed)
+                assert bundle <= set(allowed)
+                profit = value_query(v, bundle) - sum(
+                    (prices[j] for j in bundle), Fraction(0)
+                )
+                assert profit == enumerate_best_profit(v, prices, allowed)
 
     def test_knapsack_cell_cap(self):
-        v = budget_additive((1,) * 4, 4)
-        prices = (Fraction(10**9),) * 4
-        tight = DemandConfig(enumeration_cap=2, knapsack_cell_cap=100)
-        with pytest.raises(CapabilityError):
-            demand_query(v, prices, config=tight)
+        m = ENUMERATION_CAP + 1
+        v = budget_additive([300_000] * m, 10**7)
+        assert sum(v.row) + 1 > KNAPSACK_CELL_CAP
+        with pytest.raises(CapabilityError, match="knapsack table"):
+            demand_query(v, (Fraction(1),) * m)
 
 
 class TestSupportingPrices:
