@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import DomainError, InvariantViolationError
-from .valuations import ItemSet, Valuation, demand_query, value_query
+from .errors import DomainError, InstanceShapeError, InvariantViolationError
+from .valuations import ItemSet, Valuation, XosValuation, demand_query, value_query
 
 PriceVector = tuple[Fraction, ...]
 Bidder = tuple[int, Valuation]
@@ -147,22 +147,40 @@ def greedy_marginal_value(
     with zero marginal value everywhere stay unassigned so the welfare of the
     result is unambiguous. Payments are all zero: the caller only ever uses
     the welfare of this allocation, never the allocation itself.
+
+    Each bidder's bundle is kept as running integer sums on its valuation's
+    grid (one per XOS clause; one, capped by the budget, for budget-additive),
+    so a gain costs one addition per clause. Gains on different grids are
+    compared exactly by cross-multiplying with the grids' scales. Every
+    (item, bidder) pair counts as one value query.
     """
-    bundles: dict[int, set[int]] = {bidder_id: set() for bidder_id, _ in bidders}
-    current: dict[int, Fraction] = {bidder_id: Fraction(0) for bidder_id, _ in bidders}
+    grids = [
+        (v.rows, None) if isinstance(v, XosValuation) else ((v.row,), v.cap)
+        for _, v in bidders
+    ]
+    sums = [[0] * len(rows) for rows, _ in grids]
+    current = [0] * len(bidders)
+    bundles: list[set[int]] = [set() for _ in bidders]
     for j in sorted(set(items)):
-        best_gain = Fraction(0)
-        best_bidder: Optional[int] = None
-        for bidder_id, valuation in bidders:
-            gain = value_query(valuation, bundles[bidder_id] | {j}) - current[bidder_id]
+        best_gain, best_scale, best = 0, 1, None
+        for k, (bidder_id, valuation) in enumerate(bidders):
+            if not 0 <= j < valuation.item_count:
+                raise InstanceShapeError(
+                    f"item {j} outside 0..{valuation.item_count - 1}"
+                )
+            rows, cap = grids[k]
+            value = max(s + row[j] for s, row in zip(sums[k], rows))
+            gain = (value if cap is None else min(cap, value)) - current[k]
             if query_log is not None:
                 query_log.value[bidder_id] += 1
-            if gain > best_gain:
-                best_gain, best_bidder = gain, bidder_id
-        if best_bidder is not None:
-            bundles[best_bidder].add(j)
-            current[best_bidder] += best_gain
+            # gain / scale > best_gain / best_scale, with positive scales.
+            if gain * best_scale > best_gain * valuation.scale:
+                best_gain, best_scale, best = gain, valuation.scale, k
+        if best is not None:
+            sums[best] = [s + row[j] for s, row in zip(sums[best], grids[best][0])]
+            current[best] += best_gain
+            bundles[best].add(j)
     return Allocation(
-        {b: frozenset(s) for b, s in bundles.items()},
-        {b: Fraction(0) for b in bundles},
+        {b: frozenset(s) for (b, _), s in zip(bidders, bundles)},
+        {b: Fraction(0) for b, _ in bidders},
     )

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ConfigError, DomainError, InvariantViolationError
 from .instances import Instance
@@ -71,22 +71,44 @@ class GeneratorSpec:
             raise ConfigError(f"bad generator spec: {exc}") from None
 
 
-def _log_uniform(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    """Log-uniform draw from [lo, hi], quantized to cents, exactly in range."""
+# One random draw of an exact value.
+Draw = Callable[[random.Random], Fraction]
+
+
+def _log_uniform_cents(lo: Fraction, hi: Fraction) -> Draw:
+    """Log-uniform draws from [lo, hi], quantized to cents, exactly in range.
+
+    The logs of the bounds and the cents grid points inside [lo, hi] are
+    worked out once per bound pair; each draw takes one ``rng.uniform`` and
+    clamps the rounded cents as integers. A draw below the first grid point
+    gives ``lo`` and one above the last gives ``hi``, so off-grid bounds are
+    returned as they are. With ``lo == hi`` a draw returns ``lo`` and takes
+    nothing from ``rng``.
+    """
     if lo == hi:
-        return lo
-    x = math.exp(rng.uniform(math.log(float(lo)), math.log(float(hi))))
-    quantized = Fraction(round(x * 100), 100)
-    return min(max(quantized, lo), hi)
+        return lambda rng: lo
+    log_lo, log_hi = math.log(float(lo)), math.log(float(hi))
+    first, last = math.ceil(100 * lo), math.floor(100 * hi)
+
+    def draw(rng: random.Random) -> Fraction:
+        cents = round(math.exp(rng.uniform(log_lo, log_hi)) * 100)
+        if cents < first:
+            return lo
+        if cents > last:
+            return hi
+        return Fraction(cents, 100)
+
+    return draw
 
 
 def generate_instance(spec: GeneratorSpec) -> Instance:
     rng = random.Random(spec.seed)
     lo, hi = spec.value_range
     m = spec.item_count
+    draw = _log_uniform_cents(lo, hi)
 
     def draw_row() -> list[Fraction]:
-        return [_log_uniform(rng, lo, hi) for _ in range(m)]
+        return [draw(rng) for _ in range(m)]
 
     valuations: list[Valuation] = []
     for _ in range(spec.bidder_count):
@@ -99,7 +121,7 @@ def generate_instance(spec: GeneratorSpec) -> Instance:
             values = draw_row()
             top = max(values, default=Fraction(0))
             total = sum(values, Fraction(0))
-            budget = _log_uniform(rng, top, total) if total > 0 else Fraction(0)
+            budget = _log_uniform_cents(top, total)(rng) if total > 0 else Fraction(0)
             valuations.append(budget_additive(values, budget))
     return Instance(m, tuple(valuations))
 
@@ -253,18 +275,18 @@ class TruthfulnessReport:
         return not self.violations and not self.query_budget_violations
 
 
-def _deviation(rng: random.Random, m: int, lo: Fraction, hi: Fraction) -> Valuation:
+def _deviation(rng: random.Random, m: int, entry: Draw, budget: Draw) -> Valuation:
+    """A random lie: a worthless report, an XOS report of 1-3 clauses, or a
+    budget-additive report, with entries and budget drawn by ``entry`` and
+    ``budget``."""
     kind = rng.random()
     if kind < 0.15:
         return xos([0] * m)  # hide entirely
     if kind < 0.55:
-        rows = [
-            [_log_uniform(rng, lo / 2, hi * 2) for _ in range(m)]
-            for _ in range(rng.randint(1, 3))
-        ]
+        rows = [[entry(rng) for _ in range(m)] for _ in range(rng.randint(1, 3))]
         return xos(*rows)
-    values = [_log_uniform(rng, lo / 2, hi * 2) for _ in range(m)]
-    return budget_additive(values, _log_uniform(rng, lo / 2, hi * m))
+    values = [entry(rng) for _ in range(m)]
+    return budget_additive(values, budget(rng))
 
 
 def _query_budget_check(outcome: MechanismOutcome, seed: int) -> list[dict]:
@@ -301,6 +323,8 @@ def truthfulness_report(
     bidders = instance.bidders()
     m = instance.item_count
     lo, hi = value_range
+    entry_draw = _log_uniform_cents(lo / 2, hi * 2)
+    budget_draw = _log_uniform_cents(lo / 2, hi * m)
     violations: list[dict] = []
     budget_violations: list[dict] = []
     runs = 0
@@ -315,7 +339,7 @@ def truthfulness_report(
         }
         for b, truth in bidders:
             for _ in range(deviations):
-                lie = _deviation(rng, m, lo, hi)
+                lie = _deviation(rng, m, entry_draw, budget_draw)
                 twisted = list(bidders)
                 twisted[b] = (b, lie)
                 outcome = final_mechanism(twisted, m, CoinTape(seed))

@@ -73,7 +73,21 @@ def instance_to_dict(instance: Instance) -> dict:
     return {"m": instance.item_count, "bidders": bidders}
 
 
+def _list_field(value: object, i: int, name: str) -> list:
+    """``value`` if it is a JSON list; anything else (a string above all,
+    which would be read character by character) is an instance error."""
+    if not isinstance(value, list):
+        raise InstanceShapeError(
+            f"bidder {i}: {name} must be a list, got {type(value).__name__}"
+        )
+    return value
+
+
 def instance_from_dict(data: dict) -> Instance:
+    if not isinstance(data, dict):
+        raise InstanceShapeError(
+            f"instance file must hold a JSON object, got {type(data).__name__}"
+        )
     try:
         m = data["m"]
         raw_bidders = data["bidders"]
@@ -90,9 +104,12 @@ def instance_from_dict(data: dict) -> Instance:
         kind = entry.get("kind")
         try:
             if kind == "xos":
-                valuations.append(xos(*entry["clauses"]))
+                clauses = _list_field(entry["clauses"], i, '"clauses"')
+                rows = [_list_field(c, i, f"clause {k}") for k, c in enumerate(clauses)]
+                valuations.append(xos(*rows))
             elif kind == "budget_additive":
-                valuations.append(budget_additive(entry["values"], entry["budget"]))
+                values = _list_field(entry["values"], i, '"values"')
+                valuations.append(budget_additive(values, entry["budget"]))
             else:
                 raise InstanceShapeError(
                     f'bidder {i}: unknown kind {kind!r} '

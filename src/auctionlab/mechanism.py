@@ -26,6 +26,7 @@ import hashlib
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .auction import (
@@ -49,7 +50,7 @@ from .price_tree import (
     canonical_vectors,
     solve_parameters,
 )
-from .rationals import RationalLike
+from .rationals import RationalLike, as_rational
 from .valuations import Valuation, value_query
 
 SECOND_PRICE = "second-price"
@@ -209,6 +210,19 @@ def _full_allocation(
     return Allocation(bundles, payments)
 
 
+@lru_cache(maxsize=32)
+def _modified_tree(
+    psi_min: Fraction, psi_max: Fraction, alpha: int, parity: str
+) -> PriceTree:
+    """The modified price tree (and, as its ``params``, the parameters) of a
+    price range. Both are frozen and depend on nothing else, so replays of a
+    tape against different reports share them; the cache is small because a
+    sweep revisits only a few ranges."""
+    return build_modified_tree(
+        build_bins(solve_parameters(psi_min, psi_max, alpha)), parity
+    )
+
+
 def price_learning_mechanism(
     bidders: Sequence[Bidder],
     m: int,
@@ -224,8 +238,10 @@ def price_learning_mechanism(
     demand-queried at most alpha times: alpha times if its group's iteration
     was reached, once for the final group, never otherwise.
     """
-    params = solve_parameters(psi_min, psi_max, alpha)
-    tree = build_modified_tree(build_bins(params), tape.tree_parity())
+    tree = _modified_tree(
+        as_rational(psi_min), as_rational(psi_max), alpha, tape.tree_parity()
+    )
+    params = tree.params
     ids = [b for b, _ in bidders]
     by_id = dict(bidders)
     groups = partition_bidders(ids, params.beta, tape)

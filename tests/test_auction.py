@@ -12,9 +12,32 @@ from auctionlab.auction import (
     greedy_marginal_value,
     second_price_grand_bundle,
 )
-from auctionlab.errors import DomainError
+from auctionlab.errors import DomainError, InstanceShapeError
 from auctionlab.oracle import brute_force_opt, welfare
 from auctionlab.valuations import additive, budget_additive, value_query, xos
+
+
+def reference_greedy(bidders, items, *, query_log=None):
+    """The greedy statistic re-summing whole bundles in ``Fraction``: the
+    reference the integer running-sum version is checked against."""
+    bundles = {bidder_id: set() for bidder_id, _ in bidders}
+    current = {bidder_id: Fraction(0) for bidder_id, _ in bidders}
+    for j in sorted(set(items)):
+        best_gain = Fraction(0)
+        best_bidder = None
+        for bidder_id, valuation in bidders:
+            gain = value_query(valuation, bundles[bidder_id] | {j}) - current[bidder_id]
+            if query_log is not None:
+                query_log.value[bidder_id] += 1
+            if gain > best_gain:
+                best_gain, best_bidder = gain, bidder_id
+        if best_bidder is not None:
+            bundles[best_bidder].add(j)
+            current[best_bidder] += best_gain
+    return Allocation(
+        {b: frozenset(s) for b, s in bundles.items()},
+        {b: Fraction(0) for b in bundles},
+    )
 
 
 def random_xos(rng, m, hi=20):
@@ -148,6 +171,39 @@ class TestGreedyMarginalValue:
     def test_payments_are_zero(self):
         alloc = greedy_marginal_value([(0, additive((3, 4)))], {0, 1})
         assert alloc.total_payments == 0
+
+    def test_matches_fraction_reference(self):
+        """Allocations and value-query counts equal the Fraction reference's,
+        on entries with denominators 1-6 (so ties across different grids),
+        budgets that bind, many zero entries, and shuffled bidder ids."""
+        rng = random.Random(35)
+
+        def entry():
+            return Fraction(rng.choice([0, 0, 1, 2, 3, 6]), rng.choice([1, 2, 3, 4, 6]))
+
+        for case in range(400):
+            m = rng.randint(0, 6)
+            n = rng.randint(1, 5)
+            ids = rng.sample(range(10), n)
+            bidders = []
+            for b in ids:
+                if rng.random() < 0.5:
+                    rows = [[entry() for _ in range(m)] for _ in range(rng.randint(1, 3))]
+                    bidders.append((b, xos(*rows)))
+                else:
+                    values = [entry() for _ in range(m)]
+                    budget = sum(values, Fraction(0)) * Fraction(rng.randint(0, 4), 4)
+                    bidders.append((b, budget_additive(values, budget)))
+            items = rng.sample(range(m), rng.randint(0, m))
+            fast_log, slow_log = QueryLog(), QueryLog()
+            fast = greedy_marginal_value(bidders, items, query_log=fast_log)
+            slow = reference_greedy(bidders, items, query_log=slow_log)
+            assert fast == slow, case
+            assert list(fast_log.value.items()) == list(slow_log.value.items()), case
+
+    def test_item_outside_range_rejected(self):
+        with pytest.raises(InstanceShapeError, match="item 2 outside 0..1"):
+            greedy_marginal_value([(0, additive((3, 4)))], {0, 2})
 
     def test_half_of_optimum_on_submodular_inputs(self):
         rng = random.Random(34)

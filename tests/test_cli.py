@@ -114,19 +114,40 @@ def test_bad_params_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "bidder",
+    "bidder, message",
     [
-        {"kind": "xos", "clauses": [[1.5]]},
-        {"kind": "budget_additive", "values": ["1"], "budget": None},
-        {"kind": "xos", "clauses": 5},
+        ({"kind": "xos", "clauses": [[1.5]]}, "got float"),
+        ({"kind": "budget_additive", "values": ["1"], "budget": None}, "got NoneType"),
+        ({"kind": "xos", "clauses": 5}, '"clauses" must be a list, got int'),
+        ({"kind": "xos", "clauses": ["1"]}, "clause 0 must be a list, got str"),
+        ({"kind": "xos", "clauses": "1"}, '"clauses" must be a list, got str'),
+        (
+            {"kind": "budget_additive", "values": "1", "budget": "5"},
+            '"values" must be a list, got str',
+        ),
     ],
-    ids=["float-entry", "null-budget", "non-list-clauses"],
+    ids=[
+        "float-entry",
+        "null-budget",
+        "non-list-clauses",
+        "string-clause",
+        "string-clauses",
+        "string-values",
+    ],
 )
-def test_malformed_instance_is_usage_error(tmp_path, capsys, bidder):
+def test_malformed_instance_is_usage_error(tmp_path, capsys, bidder, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"m": 1, "bidders": [bidder]}))
     assert main(["run", "--instance", str(path)]) == 2
-    assert "bidder 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bidder 0" in err and message in err
+
+
+def test_non_object_instance_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("[1]")
+    assert main(["run", "--instance", str(path)]) == 2
+    assert "instance file must hold a JSON object, got list" in capsys.readouterr().err
 
 
 def test_non_rational_param_is_usage_error(capsys):

@@ -1,12 +1,16 @@
 """Generator determinism, experiment reports, instance round-trips."""
 
 import io
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from auctionlab.errors import CapabilityError, ConfigError, InstanceShapeError
 from auctionlab.harness import (
+    _deviation,
+    _log_uniform_cents,
     ExperimentConfig,
     GeneratorSpec,
     generate_instance,
@@ -24,6 +28,30 @@ from auctionlab.instances import (
 )
 from auctionlab.rationals import format_rational
 from auctionlab.valuations import XosValuation, additive, budget_additive, xos
+
+
+def reference_log_uniform(rng, lo, hi):
+    """The per-entry Fraction draw: the reference for the cents-grid draw."""
+    if lo == hi:
+        return lo
+    x = math.exp(rng.uniform(math.log(float(lo)), math.log(float(hi))))
+    quantized = Fraction(round(x * 100), 100)
+    return min(max(quantized, lo), hi)
+
+
+def reference_deviation(rng, m, lo, hi):
+    """A random lie drawn with ``reference_log_uniform`` per entry."""
+    kind = rng.random()
+    if kind < 0.15:
+        return xos([0] * m)
+    if kind < 0.55:
+        rows = [
+            [reference_log_uniform(rng, lo / 2, hi * 2) for _ in range(m)]
+            for _ in range(rng.randint(1, 3))
+        ]
+        return xos(*rows)
+    values = [reference_log_uniform(rng, lo / 2, hi * 2) for _ in range(m)]
+    return budget_additive(values, reference_log_uniform(rng, lo / 2, hi * m))
 
 
 class TestRationalFormatting:
@@ -122,6 +150,27 @@ class TestGenerator:
         for v in inst.valuations:
             assert max(v.item_values) <= v.budget <= sum(v.item_values)
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (Fraction(1), Fraction(100)),  # on the cents grid
+            (Fraction(1, 2), Fraction(600)),
+            (Fraction(1, 3), Fraction(2001, 7)),  # off the grid
+            (Fraction(1, 3), Fraction(2, 3)),  # often rounded past both bounds
+            (Fraction(1001, 1000), Fraction(1009, 1000)),  # no grid point inside
+            (Fraction(999, 1000), Fraction(1001, 1000)),  # one grid point inside
+            (Fraction(37, 100), Fraction(38, 100)),
+            (Fraction(5), Fraction(5)),  # lo == hi draws nothing
+            (Fraction(1, 3), Fraction(1, 3)),
+        ],
+    )
+    def test_cents_draw_matches_reference(self, lo, hi):
+        fast, slow = random.Random(77), random.Random(77)
+        draw = _log_uniform_cents(lo, hi)
+        for _ in range(3000):
+            assert draw(fast) == reference_log_uniform(slow, lo, hi)
+        assert fast.getstate() == slow.getstate()
+
     def test_bad_specs_rejected(self):
         with pytest.raises(ConfigError):
             GeneratorSpec(-1, 2)
@@ -199,3 +248,15 @@ class TestTruthfulnessReport:
         assert report.clean
         assert report.deviations_checked == 4 * 3 * 3
         assert report.runs == 4 * (1 + 3 * 3)
+
+    def test_deviations_match_reference(self):
+        for m in range(1, 7):
+            lo, hi = Fraction(1), Fraction(100)
+            fast, slow = random.Random(m), random.Random(m)
+            entry = _log_uniform_cents(lo / 2, hi * 2)
+            budget = _log_uniform_cents(lo / 2, hi * m)
+            for _ in range(300):
+                assert _deviation(fast, m, entry, budget) == reference_deviation(
+                    slow, m, lo, hi
+                )
+            assert fast.getstate() == slow.getstate()

@@ -14,6 +14,7 @@ from auctionlab.mechanism import (
     LEARNING_STOPPED,
     SECOND_PRICE,
     CoinTape,
+    _modified_tree,
     bidder_utility,
     final_mechanism,
     partition_bidders,
@@ -21,6 +22,13 @@ from auctionlab.mechanism import (
     price_update,
 )
 from auctionlab.oracle import welfare
+from auctionlab.price_tree import (
+    EVEN,
+    ODD,
+    build_bins,
+    build_modified_tree,
+    solve_parameters,
+)
 from auctionlab.valuations import additive, budget_additive, xos
 
 
@@ -130,6 +138,32 @@ class TestPriceLearningMechanism:
         assert first.allocation == second.allocation
         assert first.learned_prices == second.learned_prices
         assert first.branch == second.branch
+
+    @pytest.mark.parametrize(
+        "psi_min, psi_max",
+        [
+            (1, 10**6),
+            ("1/3", "5"),
+            (Fraction(7, 9), Fraction(7, 9)),
+            (Fraction(1, 144), 800),
+        ],
+    )
+    def test_cached_tree_matches_fresh_build(self, psi_min, psi_max):
+        bidders = random_bidders(random.Random(5), 4, 3)
+        for alpha in (2, 3):
+            fresh = solve_parameters(psi_min, psi_max, alpha)
+            for parity in (ODD, EVEN, ODD, EVEN):  # the repeats come from the cache
+                tree = _modified_tree(
+                    Fraction(psi_min), Fraction(psi_max), alpha, parity
+                )
+                assert tree.params == fresh
+                assert tree == build_modified_tree(build_bins(fresh), parity)
+            for seed in range(6):
+                run = price_learning_mechanism(
+                    bidders, 3, psi_min, psi_max, CoinTape(seed), alpha=alpha
+                )
+                assert run.params == fresh
+                assert run.tree == build_modified_tree(build_bins(fresh), run.parity)
 
     def test_stopped_run_allocates_only_from_that_iteration(self):
         rng = random.Random(1)
