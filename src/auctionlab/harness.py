@@ -24,6 +24,10 @@ from .valuations import Valuation, budget_additive, xos
 FAMILIES = ("xos-random", "additive", "budget-additive")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Recipe for a random instance.
@@ -41,12 +45,24 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in (
+            ("n", self.bidder_count),
+            ("m", self.item_count),
+            ("seed", self.seed),
+        ):
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.bidder_count < 0 or self.item_count < 0:
             raise ConfigError("bidder and item counts must be nonnegative")
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        lo, hi = self.clause_count
-        if not 1 <= lo <= hi:
+        try:
+            lo, hi = self.clause_count
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"clause count must be a pair of integers, got {self.clause_count!r}"
+            ) from None
+        if not (_is_int(lo) and _is_int(hi) and 1 <= lo <= hi):
             raise ConfigError(f"invalid clause count range {self.clause_count}")
         lo, hi = self.value_range
         if not 0 < lo <= hi:
@@ -315,8 +331,14 @@ def truthfulness_report(
     For each tape seed, each bidder, and each of ``deviations`` random
     alternative reports, the deviator's utility (measured with its true
     valuation) must not exceed its truthful utility -- exactly. Also audits
-    the per-bidder demand-query budget of every run touched.
+    the per-bidder demand-query budget of every run touched. A sweep with no
+    runs would read clean without checking anything, so ``seeds < 1`` or
+    ``deviations < 0`` raises ``ConfigError``.
     """
+    if seeds < 1:
+        raise ConfigError(f"seeds must be at least 1, got {seeds}")
+    if deviations < 0:
+        raise ConfigError(f"deviations must be nonnegative, got {deviations}")
     if instance.bidder_count == 0 or instance.item_count == 0:
         raise DomainError("truthfulness sweep needs at least one bidder and item")
     rng = random.Random(deviation_seed)

@@ -27,7 +27,7 @@ grid shared with the prices, so comparisons are pure integer comparisons.
 Beyond ``ENUMERATION_CAP`` items only budget-additive valuations are served,
 by a pseudo-polynomial knapsack indexed by value sum on the valuation's grid.
 ``bundle_value_table`` is the one place a valuation becomes an integer table
-of bundle values; the oracle builds its tables with it too.
+of bundle values; the oracle builds its budget-additive tables with it too.
 """
 
 from __future__ import annotations

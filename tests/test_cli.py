@@ -160,3 +160,51 @@ def test_non_rational_param_is_usage_error(capsys):
 def test_trace_without_seeds_is_usage_error(capsys, instance_file):
     assert main(["trace", "--instance", instance_file, "--seeds", "0"]) == 2
     assert "--seeds must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seeds", "0"], "seeds must be at least 1, got 0"),
+        (["--seeds", "-1"], "seeds must be at least 1, got -1"),
+        (["--deviations", "-2"], "deviations must be nonnegative, got -2"),
+    ],
+    ids=["zero-seeds", "negative-seeds", "negative-deviations"],
+)
+def test_truthtest_without_runs_is_usage_error(capsys, instance_file, flags, message):
+    assert main(["truthtest", "--instance", instance_file, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n": 2.5}, "n must be an integer, got 2.5"),
+        ({"m": "2"}, "m must be an integer, got '2'"),
+        ({"n": True}, "n must be an integer, got True"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"clause_count": [1.5, 2]}, "invalid clause count range (1.5, 2)"),
+        ({"clause_count": [1, 2, 3]}, "clause count must be a pair of integers"),
+        ({"clause_count": 3}, "bad generator spec"),
+    ],
+    ids=[
+        "float-n",
+        "string-m",
+        "bool-n",
+        "string-seed",
+        "float-seed",
+        "float-clause-count",
+        "triple-clause-count",
+        "int-clause-count",
+    ],
+)
+def test_bad_generator_spec_is_usage_error(tmp_path, capsys, fields, message):
+    spec_path = tmp_path / "spec.json"
+    out_path = tmp_path / "gen.json"
+    spec_path.write_text(json.dumps({"n": 2, "m": 2, **fields}))
+    assert main(["gen", "--spec", str(spec_path), "-o", str(out_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_path.exists()

@@ -3,14 +3,26 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
 from auctionlab.auction import Allocation
 from auctionlab.errors import CapabilityError, InvariantViolationError
 from auctionlab.harness import GeneratorSpec, generate_instance
-from auctionlab.oracle import brute_force_opt, welfare
-from auctionlab.valuations import additive, budget_additive, value_query, xos
+from auctionlab.oracle import (
+    OptimalSolution,
+    _bundle_supporting_prices,
+    brute_force_opt,
+    welfare,
+)
+from auctionlab.valuations import (
+    additive,
+    budget_additive,
+    bundle_value_table,
+    value_query,
+    xos,
+)
 
 
 def naive_opt(valuations, m):
@@ -28,6 +40,62 @@ def naive_opt(valuations, m):
             best_welfare = total
             best_assignment = assignment
     return best_welfare, best_assignment
+
+
+def reference_subset_split_opt(valuations, m):
+    """The oracle's earlier form: every bidder's step tries all 3^m subset
+    splits and keeps back-pointers, which rebuild the assignment."""
+    n = len(valuations)
+    scale = lcm(*(v.scale for v in valuations))
+    items = range(m)
+    nmask = 1 << m
+    digits = [0] * nmask
+    for mask in range(1, nmask):
+        low = mask & -mask
+        digits[mask] = digits[mask ^ low] + (n + 1) ** (m - low.bit_length())
+    big = (n + 1) ** m
+    prev = [0] * nmask
+    choices = []
+    for i, valuation in enumerate(valuations):
+        table = bundle_value_table(valuation, items, scale)
+        weight = [big * v + (n - i) * d for v, d in zip(table, digits)]
+        cur = [0] * nmask
+        choice = [0] * nmask
+        for s in range(1, nmask):
+            best = prev[s]
+            pick = 0
+            t = s
+            while t:
+                total = prev[s ^ t] + weight[t]
+                if total > best:
+                    best = total
+                    pick = t
+                t = (t - 1) & s
+            cur[s] = best
+            choice[s] = pick
+        prev = cur
+        choices.append(choice)
+
+    assignment = [n] * m
+    rest = nmask - 1
+    for i in range(n - 1, -1, -1):
+        taken = choices[i][rest]
+        rest ^= taken
+        for j in items:
+            if taken >> j & 1:
+                assignment[j] = i
+    bundles = {i: frozenset(j for j in items if assignment[j] == i) for i in range(n)}
+    prices = [Fraction(0)] * m
+    for i, bundle in bundles.items():
+        if bundle:
+            for j, q in _bundle_supporting_prices(valuations[i], bundle).items():
+                prices[j] = q
+    return OptimalSolution(
+        Allocation(bundles, {}),
+        Fraction(prev[nmask - 1] // big, scale),
+        tuple(prices),
+        tuple(assignment),
+    )
 
 
 def random_valuation(rng, m, hi=9):
@@ -127,6 +195,55 @@ class TestBruteForceOpt:
             for j in range(m):
                 if sol.assignment[j] == n:
                     assert sol.supporting_prices[j] == 0
+
+
+class TestMatchesSubsetSplitReference:
+    """The subset-max transform for XOS bidders and the digit read-out of the
+    assignment against the all-splits DP with back-pointers."""
+
+    def check(self, vals, m, **kwargs):
+        sol = brute_force_opt(vals, m, **kwargs)
+        ref = reference_subset_split_opt(vals, m)
+        assert sol.assignment == ref.assignment
+        assert sol.welfare == ref.welfare
+        assert sol.supporting_prices == ref.supporting_prices
+        assert sol.allocation == ref.allocation
+
+    def test_tie_heavy_mixed_bidders(self):
+        # Values in {0, 1, 2}: optimal allocations tie often, and XOS and
+        # budget-additive bidders come in random order.
+        rng = random.Random(5151)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            m = rng.randint(1, 6)
+            self.check([random_valuation(rng, m, hi=2) for _ in range(n)], m)
+
+    @pytest.mark.parametrize("family", ["xos-random", "additive", "budget-additive"])
+    def test_generated_instances(self, family):
+        rng = random.Random(family)
+        shapes = [(9, 10)]
+        shapes += [(rng.randint(1, 9), rng.randint(1, 10)) for _ in range(39)]
+        for k, (n, m) in enumerate(shapes):
+            inst = generate_instance(GeneratorSpec(n, m, family, seed=700 + k))
+            self.check(list(inst.valuations), m)
+
+    def test_edge_cases(self):
+        self.check([xos((3,))], 1)
+        self.check([xos((0, 2, 1), (4, 0, 0))], 3)
+        self.check([budget_additive((1, 2, 3), 4)], 3)
+        zero = [additive((0, 0)), budget_additive((0, 0), 0), xos((0, 0), (0, 0))]
+        self.check(zero, 2)
+        self.check([additive((1,)), additive((1,)), budget_additive((1,), 1)], 1)
+        self.check([additive((1, 5, 2, 0)), additive((3, 1, 2, 4))], 4)
+        self.check(
+            [additive((Fraction(1, 2), 3, 2)), additive((1, Fraction(7, 3), 2))], 3
+        )
+
+    def test_twelve_items(self):
+        rng = random.Random(12)
+        vals = [random_valuation(rng, 12) for _ in range(2)]
+        vals[0] = xos(*[[rng.randint(0, 9) for _ in range(12)] for _ in range(3)])
+        self.check(vals, 12, assignment_cap=2 * 3**12)
 
 
 class TestWelfare:

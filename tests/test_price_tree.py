@@ -41,6 +41,17 @@ class TestSolveParameters:
         assert (params.alpha, params.beta, params.gamma) == (2, 1, 40)
         assert params.bin_count == 2
 
+    @pytest.mark.parametrize("welfare", [Fraction(1), Fraction(37, 3), Fraction(10**5)])
+    def test_beta_at_the_mechanism_range(self, welfare):
+        # final_mechanism learns prices in [A / m^2, 8A] for the statistics
+        # group's welfare A. Up to m = 14 the ratio 8m^2 <= 1568 needs two
+        # bins of width gamma = 40, which a beta-1 tree (capacity alpha = 2)
+        # covers, so the stop coin (probability 1/beta) always ends learning
+        # in the first iteration.
+        for m in range(2, 17):
+            params = solve_parameters(welfare / (m * m), 8 * welfare)
+            assert params.beta == (1 if m <= 14 else 2), m
+
     def test_nonpositive_floor_rejected(self):
         with pytest.raises(DomainError):
             solve_parameters(0, 5)
