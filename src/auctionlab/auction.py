@@ -61,9 +61,6 @@ class Allocation:
         return sum(self.payments.values(), Fraction(0))
 
 
-EMPTY_ALLOCATION = Allocation({}, {})
-
-
 @dataclass
 class QueryLog:
     """Per-bidder demand/value query tally, filled in by the auctions."""

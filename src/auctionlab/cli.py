@@ -29,7 +29,7 @@ from .harness import (
     truthfulness_report,
 )
 from .instances import dump_instance, load_instance
-from .mechanism import CoinTape, price_learning_mechanism
+from .mechanism import CoinTape, check_market, price_learning_mechanism
 from .oracle import brute_force_opt
 from .price_tree import solve_parameters
 from .rationals import as_rational, format_rational
@@ -91,7 +91,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.min_seeds < 0:
+        raise ConfigError(f"--min-seeds must be nonnegative, got {args.min_seeds}")
     instance = load_instance(args.instance)
+    check_market(instance.bidders(), instance.item_count)
     optimal = brute_force_opt(list(instance.valuations), instance.item_count)
     positive = [q for q in optimal.supporting_prices if q > 0]
     psi_min = min(positive) if positive else Fraction(1)

@@ -72,6 +72,17 @@ class GeneratorSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "GeneratorSpec":
+        if not isinstance(data, dict):
+            raise ConfigError(
+                f"generator spec must hold a JSON object, got {type(data).__name__}"
+            )
+        for name in ("clause_count", "value_range"):
+            # A string here would be read character by character.
+            if name in data and not isinstance(data[name], list):
+                raise ConfigError(
+                    f'bad generator spec: "{name}" must be a list, '
+                    f"got {type(data[name]).__name__}"
+                )
         try:
             return GeneratorSpec(
                 bidder_count=data["n"],
@@ -313,7 +324,7 @@ def _query_budget_check(outcome: MechanismOutcome, seed: int) -> list[dict]:
     for bidder, count in outcome.demand_queries.items():
         if count > alpha:
             bad.append({"seed": seed, "bidder": bidder, "demand_queries": count})
-    if outcome.total_demand_queries > alpha * len(outcome.bidder_ids):
+    if outcome.total_demand_queries > alpha * len(outcome.bidders):
         bad.append({"seed": seed, "total_demand_queries": outcome.total_demand_queries})
     return bad
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -175,18 +175,20 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class MechanismOutcome:
+    """What one run decided. ``allocation`` is the chosen auction's own
+    allocation: bidders outside that auction are absent from it, which
+    ``Allocation`` reads as an empty bundle and a zero payment."""
+
     allocation: Allocation
     welfare: Fraction
     branch: str
-    stop_iteration: Optional[int]
-    j_star: Optional[int]  # 1-based auction index when stopped
-    demand_queries: dict[int, int]
     value_queries: dict[int, int]
-    learned_prices: tuple[PriceVector, ...]
-    bidder_ids: tuple[int, ...]
     bidders: tuple[Bidder, ...]
+    stop_iteration: Optional[int] = None
+    j_star: Optional[int] = None  # 1-based auction index when stopped
+    demand_queries: dict[int, int] = field(default_factory=dict)
+    learned_prices: tuple[PriceVector, ...] = ()
     params: Optional[Params] = None
-    parity: Optional[str] = None
     tree: Optional[PriceTree] = None
     groups: tuple[tuple[int, ...], ...] = ()
     iterations: tuple[IterationRecord, ...] = ()
@@ -200,14 +202,6 @@ class MechanismOutcome:
 
 def _halve(vector: PriceVector) -> PriceVector:
     return tuple(p / 2 for p in vector)
-
-
-def _full_allocation(
-    selected: Allocation, all_ids: Sequence[int]
-) -> Allocation:
-    bundles = {b: selected.bundle(b) for b in all_ids}
-    payments = {b: selected.payment(b) for b in all_ids}
-    return Allocation(bundles, payments)
 
 
 @lru_cache(maxsize=32)
@@ -281,24 +275,29 @@ def price_learning_mechanism(
             final_group, items, _halve(prices), query_log=log
         )
 
-    allocation = _full_allocation(selected, ids)
     return MechanismOutcome(
-        allocation=allocation,
-        welfare=welfare(allocation, by_id),
+        allocation=selected,
+        welfare=welfare(selected, by_id),
         branch=branch,
+        value_queries=dict(log.value),
+        bidders=tuple(bidders),
         stop_iteration=stop_iteration,
         j_star=j_star,
         demand_queries=dict(log.demand),
-        value_queries=dict(log.value),
         learned_prices=tuple(learned),
-        bidder_ids=tuple(ids),
-        bidders=tuple(bidders),
         params=params,
-        parity=tree.parity,
         tree=tree,
         groups=tuple(tuple(g) for g in groups),
         iterations=tuple(records),
     )
+
+
+def check_market(bidders: Sequence[Bidder], m: int) -> None:
+    """The top-level mechanism's domain: at least one bidder and one item."""
+    if not bidders:
+        raise DomainError("the mechanism needs at least one bidder")
+    if m < 1:
+        raise DomainError("the mechanism needs at least one item")
 
 
 def final_mechanism(
@@ -317,27 +316,15 @@ def final_mechanism(
     statistics group never receives items and never pays. A zero statistic
     (all sampled valuations worthless) degenerates the range to [1, 1].
     """
-    if not bidders:
-        raise DomainError("the mechanism needs at least one bidder")
-    if m < 1:
-        raise DomainError("the mechanism needs at least one item")
-    ids = [b for b, _ in bidders]
-
+    check_market(bidders, m)
     if tape.second_price_branch():
         log = QueryLog()
-        allocation = _full_allocation(
-            second_price_grand_bundle(bidders, range(m), query_log=log), ids
-        )
+        allocation = second_price_grand_bundle(bidders, range(m), query_log=log)
         return MechanismOutcome(
             allocation=allocation,
             welfare=welfare(allocation, dict(bidders)),
             branch=SECOND_PRICE,
-            stop_iteration=None,
-            j_star=None,
-            demand_queries={},
             value_queries=dict(log.value),
-            learned_prices=(),
-            bidder_ids=tuple(ids),
             bidders=tuple(bidders),
         )
 
@@ -355,15 +342,12 @@ def final_mechanism(
     else:
         psi_min = psi_max = Fraction(1)
 
+    # The inner mechanism only runs fixed-price auctions, which ask demand
+    # queries and never value queries, so the statistic's are all there are.
     inner = price_learning_mechanism(mech, m, psi_min, psi_max, tape, alpha=alpha)
-    value_counts = dict(log.value)
-    for b, c in inner.value_queries.items():
-        value_counts[b] = value_counts.get(b, 0) + c
     return replace(
         inner,
-        allocation=_full_allocation(inner.allocation, ids),
-        value_queries=value_counts,
-        bidder_ids=tuple(ids),
+        value_queries=dict(log.value),
         bidders=tuple(bidders),
         statistics_group=tuple(b for b, _ in stat),
         statistics_welfare=stat_welfare,
@@ -374,7 +358,7 @@ def bidder_utility(
     outcome: MechanismOutcome, bidder: int, true_valuation: Valuation
 ) -> Fraction:
     """Quasi-linear utility: true value of the received bundle minus payment."""
-    if bidder not in outcome.bidder_ids:
+    if all(b != bidder for b, _ in outcome.bidders):
         raise DomainError(f"bidder {bidder} did not participate")
     bundle = outcome.allocation.bundle(bidder)
     return value_query(true_valuation, bundle) - outcome.allocation.payment(bidder)

@@ -162,6 +162,34 @@ def test_trace_without_seeds_is_usage_error(capsys, instance_file):
     assert "--seeds must be at least 1" in capsys.readouterr().err
 
 
+def test_trace_negative_min_seeds_is_usage_error(capsys, instance_file):
+    assert main(["trace", "--instance", instance_file, "--min-seeds", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--min-seeds must be nonnegative, got -3" in captured.err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"m": 0, "bidders": []}, "the mechanism needs at least one bidder"),
+        (
+            {"m": 0, "bidders": [{"kind": "xos", "clauses": [[]]}]},
+            "the mechanism needs at least one item",
+        ),
+    ],
+    ids=["no-bidders", "no-items"],
+)
+def test_trace_rejects_what_run_rejects(tmp_path, capsys, data, message):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(data))
+    for command in ("run", "trace"):
+        assert main([command, "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -189,6 +217,9 @@ def test_truthtest_without_runs_is_usage_error(capsys, instance_file, flags, mes
         ({"clause_count": [1.5, 2]}, "invalid clause count range (1.5, 2)"),
         ({"clause_count": [1, 2, 3]}, "clause count must be a pair of integers"),
         ({"clause_count": 3}, "bad generator spec"),
+        ({"clause_count": "23"}, '"clause_count" must be a list, got str'),
+        ({"value_range": "19"}, '"value_range" must be a list, got str'),
+        ([1], "generator spec must hold a JSON object, got list"),
     ],
     ids=[
         "float-n",
@@ -199,12 +230,16 @@ def test_truthtest_without_runs_is_usage_error(capsys, instance_file, flags, mes
         "float-clause-count",
         "triple-clause-count",
         "int-clause-count",
+        "string-clause-count",
+        "string-value-range",
+        "list-spec",
     ],
 )
 def test_bad_generator_spec_is_usage_error(tmp_path, capsys, fields, message):
     spec_path = tmp_path / "spec.json"
     out_path = tmp_path / "gen.json"
-    spec_path.write_text(json.dumps({"n": 2, "m": 2, **fields}))
+    spec = fields if isinstance(fields, list) else {"n": 2, "m": 2, **fields}
+    spec_path.write_text(json.dumps(spec))
     assert main(["gen", "--spec", str(spec_path), "-o", str(out_path)]) == 2
     assert message in capsys.readouterr().err
     assert not out_path.exists()

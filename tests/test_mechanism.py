@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlab.auction import Allocation
+from auctionlab.auction import (
+    Allocation,
+    fixed_price_auction,
+    second_price_grand_bundle,
+)
 from auctionlab.errors import DomainError, InvariantViolationError
 from auctionlab.mechanism import (
     LEARNING_COMPLETED,
@@ -163,7 +167,7 @@ class TestPriceLearningMechanism:
                     bidders, 3, psi_min, psi_max, CoinTape(seed), alpha=alpha
                 )
                 assert run.params == fresh
-                assert run.tree == build_modified_tree(build_bins(fresh), run.parity)
+                assert run.tree == build_modified_tree(build_bins(fresh), run.tree.parity)
 
     def test_stopped_run_allocates_only_from_that_iteration(self):
         rng = random.Random(1)
@@ -175,7 +179,7 @@ class TestPriceLearningMechanism:
                 continue
             seen_stop = True
             group = set(out.groups[out.stop_iteration - 1])
-            for b in out.bidder_ids:
+            for b, _ in out.bidders:
                 if b not in group:
                     assert out.allocation.bundle(b) == frozenset()
                     assert out.allocation.payment(b) == 0
@@ -192,7 +196,7 @@ class TestPriceLearningMechanism:
             seen_complete = True
             assert len(out.learned_prices) == out.params.beta + 1
             allocated = {
-                b for b in out.bidder_ids if out.allocation.bundle(b)
+                b for b, _ in out.bidders if out.allocation.bundle(b)
             }
             assert allocated <= set(out.groups[-1])
         assert seen_complete
@@ -314,6 +318,50 @@ class TestFinalMechanism:
         assert a.allocation == b.allocation and a.branch == b.branch
 
 
+class TestOutcomeAllocation:
+    def test_allocation_is_the_chosen_auctions_own(self):
+        """The outcome holds the chosen auction's own allocation, so bidders
+        outside that auction are absent from it, on every branch."""
+        # 24 bidders: the learning group holds about 12, so with beta = 1 at
+        # m = 3 group 1 is not empty and some stopped runs sell.
+        rng = random.Random(11)
+        seen = {SECOND_PRICE: 0, LEARNING_STOPPED: 0}
+        sold = 0
+        for seed in range(30):
+            bidders = random_bidders(rng, 24, 3)
+            out = final_mechanism(bidders, 3, CoinTape(seed))
+            seen[out.branch] += 1
+            if out.branch == SECOND_PRICE:
+                assert out.allocation == second_price_grand_bundle(bidders, range(3))
+                assert out.value_queries == {b: 1 for b, _ in bidders}
+                continue
+            chosen = out.iterations[-1].allocations[out.j_star - 1]
+            assert out.allocation == chosen
+            assert set(out.allocation.bundles) == set(out.groups[0])
+            assert out.value_queries == {b: 3 for b in out.statistics_group}
+            sold += bool(out.allocation.allocated_items)
+        assert all(seen.values()) and sold
+
+        # 20 bidders and a wide window: beta = 2, so group 1 holds one bidder
+        # and the final group the other 19.
+        completed = 0
+        for seed in range(30):
+            bidders = random_bidders(rng, 20, 3)
+            out = price_learning_mechanism(bidders, 3, 1, 10**6, CoinTape(seed))
+            if out.branch != LEARNING_COMPLETED:
+                continue
+            completed += 1
+            final_group = out.groups[-1]
+            assert len(final_group) == 19
+            assert set(out.allocation.bundles) == set(final_group)
+            by_id = dict(bidders)
+            halved = tuple(p / 2 for p in out.learned_prices[-1])
+            assert out.allocation == fixed_price_auction(
+                [(b, by_id[b]) for b in final_group], range(3), halved
+            )
+        assert completed
+
+
 class TestBidderUtility:
     def test_empty_bundle_zero_payment(self):
         out = final_mechanism([(0, additive((5,))), (1, additive((9,)))], 1, CoinTape(1))
@@ -328,12 +376,7 @@ class TestBidderUtility:
             allocation=alloc,
             welfare=Fraction(5),
             branch=LEARNING_COMPLETED,
-            stop_iteration=None,
-            j_star=None,
-            demand_queries={},
             value_queries={},
-            learned_prices=(),
-            bidder_ids=(3,),
             bidders=((3, additive((5,))),),
         )
         assert bidder_utility(out, 3, additive((5,))) == 4

@@ -91,7 +91,7 @@ class TestBuildTrace:
         bidders = [(0, additive((5,)))]
         for seed in range(60):
             run, optimal, trace = traced_run(bidders, 1, 5, 5_000_000, seed)
-            if run.parity != "odd" or run.branch != "learning-completed":
+            if run.tree.parity != "odd" or run.branch != "learning-completed":
                 continue
             leaf_level = trace.levels[-1]
             assert leaf_level.level == run.params.beta + 1
