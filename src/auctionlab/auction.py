@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, InstanceShapeError, InvariantViolationError
-from .valuations import ItemSet, Valuation, XosValuation, demand_query, value_query
+from .valuations import ItemSet, Valuation, demand_query, value_query
 
 PriceVector = tuple[Fraction, ...]
 Bidder = tuple[int, Valuation]
@@ -124,11 +124,7 @@ def second_price_grand_bundle(
     if len(bidders) > 1:
         price = max(v for i, v in enumerate(values) if i != winner_pos)
     winner_id = bidders[winner_pos][0]
-    bundles = {bidder_id: frozenset() for bidder_id, _ in bidders}
-    payments = {bidder_id: Fraction(0) for bidder_id, _ in bidders}
-    bundles[winner_id] = grand
-    payments[winner_id] = price
-    return Allocation(bundles, payments)
+    return Allocation({winner_id: grand}, {winner_id: price})
 
 
 def greedy_marginal_value(
@@ -136,28 +132,22 @@ def greedy_marginal_value(
     items: Iterable[int],
     *,
     query_log: Optional[QueryLog] = None,
-) -> Allocation:
-    """Greedy welfare 2-approximation for submodular-like inputs.
+) -> Fraction:
+    """Welfare of the greedy 2-approximation for submodular-like inputs.
 
     Items are scanned in increasing index order and each goes to the bidder
     whose current bundle gains the most from it (lowest index on ties); items
-    with zero marginal value everywhere stay unassigned so the welfare of the
-    result is unambiguous. Payments are all zero: the caller only ever uses
-    the welfare of this allocation, never the allocation itself.
+    with zero marginal value everywhere stay unassigned. The mechanism uses
+    only the welfare of this allocation, so that is all it returns.
 
     Each bidder's bundle is kept as running integer sums on its valuation's
-    grid (one per XOS clause; one, capped by the budget, for budget-additive),
-    so a gain costs one addition per clause. Gains on different grids are
-    compared exactly by cross-multiplying with the grids' scales. Every
+    grid, one per row and capped by ``cap`` when there is one, so a gain
+    costs one addition per row. Gains on different grids are compared
+    exactly by cross-multiplying with the grids' scales. Every
     (item, bidder) pair counts as one value query.
     """
-    grids = [
-        (v.rows, None) if isinstance(v, XosValuation) else ((v.row,), v.cap)
-        for _, v in bidders
-    ]
-    sums = [[0] * len(rows) for rows, _ in grids]
+    sums = [[0] * len(v.rows) for _, v in bidders]
     current = [0] * len(bidders)
-    bundles: list[set[int]] = [set() for _ in bidders]
     for j in sorted(set(items)):
         best_gain, best_scale, best = 0, 1, None
         for k, (bidder_id, valuation) in enumerate(bidders):
@@ -165,8 +155,8 @@ def greedy_marginal_value(
                 raise InstanceShapeError(
                     f"item {j} outside 0..{valuation.item_count - 1}"
                 )
-            rows, cap = grids[k]
-            value = max(s + row[j] for s, row in zip(sums[k], rows))
+            value = max(s + row[j] for s, row in zip(sums[k], valuation.rows))
+            cap = valuation.cap
             gain = (value if cap is None else min(cap, value)) - current[k]
             if query_log is not None:
                 query_log.value[bidder_id] += 1
@@ -174,10 +164,9 @@ def greedy_marginal_value(
             if gain * best_scale > best_gain * valuation.scale:
                 best_gain, best_scale, best = gain, valuation.scale, k
         if best is not None:
-            sums[best] = [s + row[j] for s, row in zip(sums[best], grids[best][0])]
+            rows = bidders[best][1].rows
+            sums[best] = [s + row[j] for s, row in zip(sums[best], rows)]
             current[best] += best_gain
-            bundles[best].add(j)
-    return Allocation(
-        {b: frozenset(s) for (b, _), s in zip(bidders, bundles)},
-        {b: Fraction(0) for b, _ in bidders},
+    return sum(
+        (Fraction(c, v.scale) for c, (_, v) in zip(current, bidders)), Fraction(0)
     )

@@ -69,6 +69,15 @@ class GeneratorSpec:
             raise ConfigError(
                 f"value range must satisfy 0 < lo <= hi, got {self.value_range}"
             )
+        # The log-uniform draw takes float logs of lo and of bounds up to the
+        # largest budget, m * hi, in cents; float() raises past the range.
+        try:
+            math.log(float(lo))
+            float(100 * max(1, self.item_count) * hi)
+        except (OverflowError, ValueError):
+            raise ConfigError(
+                "value_range lies outside the float range of the log-uniform draw"
+            ) from None
 
     @staticmethod
     def from_dict(data: dict) -> "GeneratorSpec":
@@ -84,14 +93,18 @@ class GeneratorSpec:
                     f"got {type(data[name]).__name__}"
                 )
         try:
+            value_range = tuple(
+                as_rational(x) for x in data.get("value_range", ("1", "100"))
+            )
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f'bad generator spec: "value_range": {exc}') from None
+        try:
             return GeneratorSpec(
                 bidder_count=data["n"],
                 item_count=data["m"],
                 family=data.get("family", "xos-random"),
                 clause_count=tuple(data.get("clause_count", (2, 3))),
-                value_range=tuple(
-                    as_rational(x) for x in data.get("value_range", ("1", "100"))
-                ),
+                value_range=value_range,
                 seed=data.get("seed", 0),
             )
         except (KeyError, TypeError, ValueError) as exc:

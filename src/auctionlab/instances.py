@@ -93,7 +93,7 @@ def instance_from_dict(data: dict) -> Instance:
         raw_bidders = data["bidders"]
     except (KeyError, TypeError) as exc:
         raise InstanceShapeError(f"instance is missing field {exc}") from None
-    if not isinstance(m, int):
+    if not isinstance(m, int) or isinstance(m, bool):
         raise InstanceShapeError(f'"m" must be an integer, got {m!r}')
     if not isinstance(raw_bidders, list):
         raise InstanceShapeError('"bidders" must be a list')

@@ -333,9 +333,7 @@ def final_mechanism(
     mech = [b for b, f in zip(bidders, flags) if not f]
 
     log = QueryLog()
-    stat_welfare = welfare(
-        greedy_marginal_value(stat, range(m), query_log=log), dict(stat)
-    )
+    stat_welfare = greedy_marginal_value(stat, range(m), query_log=log)
     if stat_welfare > 0:
         psi_min = stat_welfare / (m * m)
         psi_max = 8 * stat_welfare

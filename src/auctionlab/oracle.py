@@ -32,7 +32,6 @@ from typing import Mapping, Sequence, Union
 from .auction import Allocation
 from .errors import CapabilityError, InvariantViolationError
 from .valuations import (
-    BudgetAdditiveValuation,
     Valuation,
     XosValuation,
     bundle_value_table,
@@ -47,8 +46,8 @@ class OptimalSolution:
     """An optimal allocation, its welfare, and supporting prices.
 
     ``assignment[j]`` is the bidder receiving item j, or n (the bidder count)
-    when j is unassigned. ``supporting_prices[j]`` is item j's price in a
-    maximizing clause of its winner's bundle, 0 for unassigned items.
+    when j is unassigned. ``supporting_prices[j]`` is item j's supporting
+    price in its winner's bundle, 0 for unassigned items.
     """
 
     allocation: Allocation
@@ -141,7 +140,7 @@ def brute_force_opt(
     prices = [Fraction(0)] * m
     for i, bundle in bundles.items():
         if bundle:
-            for j, q in _bundle_supporting_prices(valuations[i], bundle).items():
+            for j, q in supporting_prices(valuations[i], bundle).items():
                 prices[j] = q
     return OptimalSolution(
         allocation,
@@ -210,22 +209,3 @@ def _split_step(prev: list[int], weight: list[int]) -> list[int]:
         cur[s] = best
     return cur
 
-
-def _bundle_supporting_prices(
-    valuation: Valuation, bundle: frozenset[int]
-) -> dict[int, Fraction]:
-    """Supporting prices of a winner's bundle.
-
-    XOS valuations expose a maximizing clause directly. For budget-additive
-    winners the per-item values are a valid clause when they fit the budget;
-    otherwise scaling them down proportionally to sum to the budget yields
-    one, and that is what the analysis quantities need.
-    """
-    if isinstance(valuation, XosValuation):
-        return supporting_prices(valuation, bundle)
-    assert isinstance(valuation, BudgetAdditiveValuation)
-    total = sum((valuation.item_values[j] for j in bundle), Fraction(0))
-    if total <= valuation.budget or total == 0:
-        return {j: valuation.item_values[j] for j in bundle}
-    ratio = valuation.budget / total
-    return {j: valuation.item_values[j] * ratio for j in bundle}

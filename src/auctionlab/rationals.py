@@ -17,11 +17,13 @@ RationalLike = Union[Fraction, int, str]
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, decimal string, or "p/q" string to an exact Fraction.
 
-    Binary floats are rejected: they rarely mean what the caller wrote.
+    Binary floats are rejected: they rarely mean what the caller wrote. So
+    are booleans, although ``bool`` is an ``int``: a JSON ``true`` is no
+    number.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)

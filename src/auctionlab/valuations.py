@@ -15,17 +15,20 @@ Queries:
 * ``demand_query(v, p)`` -- a profit-maximizing bundle under item prices,
   with a deterministic tie-break (fewest items, then lexicographically
   smallest index sequence).
-* ``supporting_prices(v, S)`` -- per-item prices from a maximizing clause of
-  S; they sum to ``value_query(v, S)`` and under-estimate every sub-bundle.
+* ``supporting_prices(v, S)`` -- per-item prices that sum to
+  ``value_query(v, S)`` and under-estimate every sub-bundle: a maximizing
+  clause of S, or the item values scaled down to the budget.
 
-All arithmetic is exact. Each valuation works out its integer grid once:
-``scale`` is the common denominator of every number it holds, and ``rows``
-(XOS) or ``row`` and ``cap`` (budget-additive) are those numbers times
-``scale``. Bundle values are integer sums on that grid, turned into one
-``Fraction`` at the end. The demand backend enumerates the 2^m bundles on a
-grid shared with the prices, so comparisons are pure integer comparisons.
-Beyond ``ENUMERATION_CAP`` items only budget-additive valuations are served,
-by a pseudo-polynomial knapsack indexed by value sum on the valuation's grid.
+All arithmetic is exact. Both families share one integer form, worked out
+once per valuation: ``scale`` is the common denominator of every number it
+holds, ``rows`` are its additive rows times ``scale`` (the XOS clauses, or
+the budget-additive item values as one row), and ``cap`` is the budget times
+``scale``, or ``None`` for XOS. A bundle's value is the largest row sum over
+it, capped when there is a cap, turned into one ``Fraction`` at the end.
+The demand backend enumerates the 2^m bundles on a grid shared with the
+prices, so comparisons are pure integer comparisons. Beyond
+``ENUMERATION_CAP`` items only budget-additive valuations are served, by a
+pseudo-polynomial knapsack indexed by value sum on the valuation's grid.
 ``bundle_value_table`` is the one place a valuation becomes an integer table
 of bundle values; the oracle builds its budget-additive tables with it too.
 """
@@ -71,6 +74,9 @@ class XosValuation:
     """
 
     clauses: tuple[AdditiveClause, ...]
+    # No budget caps the row sums. A class attribute, not a field, so it is
+    # outside ==, hash, repr and the instance format.
+    cap = None
 
     def __post_init__(self) -> None:
         if not self.clauses:
@@ -95,11 +101,6 @@ class XosValuation:
         return tuple(
             tuple(scaled_ints(c.item_values, self.scale)) for c in self.clauses
         )
-
-    def value(self, items: Iterable[int]) -> Fraction:
-        bundle = tuple(items)
-        total = max(sum(map(row.__getitem__, bundle)) for row in self.rows)
-        return Fraction(total, self.scale)
 
     def maximizing_clause(self, items: Iterable[int]) -> int:
         """Index of a clause attaining the bundle's value (lowest index wins)."""
@@ -132,18 +133,14 @@ class BudgetAdditiveValuation:
         return common_scale([*self.item_values, self.budget])
 
     @cached_property
-    def row(self) -> tuple[int, ...]:
-        """The item values times ``scale``."""
-        return tuple(scaled_ints(self.item_values, self.scale))
+    def rows(self) -> tuple[tuple[int, ...]]:
+        """The item values times ``scale``, as the one row."""
+        return (tuple(scaled_ints(self.item_values, self.scale)),)
 
     @cached_property
     def cap(self) -> int:
         """The budget times ``scale``."""
         return self.budget.numerator * self.scale // self.budget.denominator
-
-    def value(self, items: Iterable[int]) -> Fraction:
-        total = sum(map(self.row.__getitem__, items))
-        return Fraction(min(self.cap, total), self.scale)
 
 
 Valuation = Union[XosValuation, BudgetAdditiveValuation]
@@ -180,7 +177,10 @@ def _check_items(m: int, items: Iterable[int]) -> ItemSet:
 def value_query(valuation: Valuation, items: Iterable[int]) -> Fraction:
     """v(S) for a bundle S, exactly."""
     bundle = _check_items(valuation.item_count, items)
-    return valuation.value(bundle)
+    total = max(sum(map(row.__getitem__, bundle)) for row in valuation.rows)
+    if valuation.cap is not None:
+        total = min(valuation.cap, total)
+    return Fraction(total, valuation.scale)
 
 
 def _check_prices(m: int, prices: tuple[Fraction, ...]) -> None:
@@ -247,12 +247,12 @@ def bundle_value_table(
     (bit b stands for ``items[b]``). ``scale`` must be a multiple of
     ``valuation.scale``, so every entry is an exact integer."""
     factor = scale // valuation.scale
-    if isinstance(valuation, XosValuation):
-        rows = [[row[j] * factor for j in items] for row in valuation.rows]
-        return max_subset_sums(rows, len(items))
-    row = [valuation.row[j] * factor for j in items]
+    rows = [[row[j] * factor for j in items] for row in valuation.rows]
+    table = max_subset_sums(rows, len(items))
+    if valuation.cap is None:
+        return table
     cap = valuation.cap * factor
-    return [min(cap, t) for t in max_subset_sums([row], len(items))]
+    return [min(cap, t) for t in table]
 
 
 def _demand_enumerate(
@@ -306,7 +306,7 @@ def _demand_knapsack(
     out), which need not coincide with the enumeration backend's
     cardinality-then-lex rule.
     """
-    values = [valuation.row[j] for j in allowed]
+    values = [valuation.rows[0][j] for j in allowed]
     total = sum(values)
     if total + 1 > KNAPSACK_CELL_CAP:
         raise CapabilityError(
@@ -350,18 +350,24 @@ def _demand_knapsack(
 
 
 def supporting_prices(
-    valuation: XosValuation, items: Iterable[int]
+    valuation: Valuation, items: Iterable[int]
 ) -> dict[int, Fraction]:
-    """Per-item prices of a maximizing clause of S (lowest clause index wins).
+    """Per-item prices q with q(S) = v(S) and q(T) <= v(T) for every T inside
+    S: the defining XOS property.
 
-    They satisfy sum over S = v(S) and, for every T inside S,
-    sum over T <= v(T): the defining XOS property.
+    An XOS valuation gives the entries of a maximizing clause of S (lowest
+    clause index wins). A budget-additive one gives its item values when S
+    fits the budget, and otherwise those values scaled down in proportion
+    until they sum to the budget.
     """
-    if not isinstance(valuation, XosValuation):
-        raise CapabilityError(
-            "supporting prices need an explicit clause list; "
-            "budget-additive valuations do not expose one"
-        )
     bundle = _check_items(valuation.item_count, items)
-    clause = valuation.clauses[valuation.maximizing_clause(bundle)]
-    return {j: clause.item_values[j] for j in bundle}
+    if isinstance(valuation, XosValuation):
+        clause = valuation.clauses[valuation.maximizing_clause(bundle)]
+        return {j: clause.item_values[j] for j in bundle}
+    row = valuation.rows[0]
+    total = sum(row[j] for j in bundle)
+    if total <= valuation.cap:
+        return {j: valuation.item_values[j] for j in bundle}
+    return {
+        j: Fraction(row[j] * valuation.cap, total * valuation.scale) for j in bundle
+    }

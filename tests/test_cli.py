@@ -125,6 +125,8 @@ def test_bad_params_is_usage_error(capsys):
             {"kind": "budget_additive", "values": "1", "budget": "5"},
             '"values" must be a list, got str',
         ),
+        ({"kind": "xos", "clauses": [[True]]}, "got bool"),
+        ({"kind": "budget_additive", "values": ["1"], "budget": False}, "got bool"),
     ],
     ids=[
         "float-entry",
@@ -133,6 +135,8 @@ def test_bad_params_is_usage_error(capsys):
         "string-clause",
         "string-clauses",
         "string-values",
+        "bool-entry",
+        "bool-budget",
     ],
 )
 def test_malformed_instance_is_usage_error(tmp_path, capsys, bidder, message):
@@ -141,6 +145,14 @@ def test_malformed_instance_is_usage_error(tmp_path, capsys, bidder, message):
     assert main(["run", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert "bidder 0" in err and message in err
+
+
+def test_bool_item_count_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    bidder = {"kind": "xos", "clauses": [[1]]}
+    path.write_text(json.dumps({"m": True, "bidders": [bidder]}))
+    assert main(["run", "--instance", str(path)]) == 2
+    assert '"m" must be an integer, got True' in capsys.readouterr().err
 
 
 def test_non_object_instance_is_usage_error(tmp_path, capsys):
@@ -219,6 +231,10 @@ def test_truthtest_without_runs_is_usage_error(capsys, instance_file, flags, mes
         ({"clause_count": 3}, "bad generator spec"),
         ({"clause_count": "23"}, '"clause_count" must be a list, got str'),
         ({"value_range": "19"}, '"value_range" must be a list, got str'),
+        ({"value_range": ["1/0", "5"]}, '"value_range": Fraction(1, 0)'),
+        ({"value_range": ["1", "1e400"]}, "value_range lies outside the float"),
+        ({"value_range": ["1e-400", "1"]}, "value_range lies outside the float"),
+        ({"value_range": [True, 5]}, '"value_range": expected int, str'),
         ([1], "generator spec must hold a JSON object, got list"),
     ],
     ids=[
@@ -232,6 +248,10 @@ def test_truthtest_without_runs_is_usage_error(capsys, instance_file, flags, mes
         "int-clause-count",
         "string-clause-count",
         "string-value-range",
+        "zero-denominator-value-range",
+        "overflowing-value-range",
+        "underflowing-value-range",
+        "bool-value-range",
         "list-spec",
     ],
 )

@@ -10,16 +10,13 @@ import pytest
 from auctionlab.auction import Allocation
 from auctionlab.errors import CapabilityError, InvariantViolationError
 from auctionlab.harness import GeneratorSpec, generate_instance
-from auctionlab.oracle import (
-    OptimalSolution,
-    _bundle_supporting_prices,
-    brute_force_opt,
-    welfare,
-)
+from auctionlab.oracle import OptimalSolution, brute_force_opt, welfare
 from auctionlab.valuations import (
+    XosValuation,
     additive,
     budget_additive,
     bundle_value_table,
+    supporting_prices,
     value_query,
     xos,
 )
@@ -40,6 +37,24 @@ def naive_opt(valuations, m):
             best_welfare = total
             best_assignment = assignment
     return best_welfare, best_assignment
+
+
+def reference_supporting_prices(valuation, bundle):
+    """Supporting prices as the oracle once worked them out, in ``Fraction``:
+    the entries of the first maximizing clause for XOS; for budget-additive,
+    the item values, scaled by budget / total when they exceed the budget."""
+    if isinstance(valuation, XosValuation):
+        totals = [
+            sum((c.item_values[j] for j in bundle), Fraction(0))
+            for c in valuation.clauses
+        ]
+        clause = valuation.clauses[totals.index(max(totals))]
+        return {j: clause.item_values[j] for j in bundle}
+    total = sum((valuation.item_values[j] for j in bundle), Fraction(0))
+    if total <= valuation.budget or total == 0:
+        return {j: valuation.item_values[j] for j in bundle}
+    ratio = valuation.budget / total
+    return {j: valuation.item_values[j] * ratio for j in bundle}
 
 
 def reference_subset_split_opt(valuations, m):
@@ -88,7 +103,7 @@ def reference_subset_split_opt(valuations, m):
     prices = [Fraction(0)] * m
     for i, bundle in bundles.items():
         if bundle:
-            for j, q in _bundle_supporting_prices(valuations[i], bundle).items():
+            for j, q in reference_supporting_prices(valuations[i], bundle).items():
                 prices[j] = q
     return OptimalSolution(
         Allocation(bundles, {}),
@@ -174,8 +189,6 @@ class TestBruteForceOpt:
         assert sum(sol.supporting_prices, Fraction(0)) == sol.welfare
 
     def test_supporting_prices_match_bundle_values(self):
-        from auctionlab.valuations import XosValuation, supporting_prices
-
         rng = random.Random(7)
         for _ in range(25):
             n = rng.randint(1, 3)
@@ -188,13 +201,40 @@ class TestBruteForceOpt:
                 assert sum(
                     (sol.supporting_prices[j] for j in bundle), Fraction(0)
                 ) == value_query(vals[i], bundle)
-                if isinstance(vals[i], XosValuation):
-                    assert {
-                        j: sol.supporting_prices[j] for j in bundle
-                    } == supporting_prices(vals[i], bundle)
+                assert {
+                    j: sol.supporting_prices[j] for j in bundle
+                } == supporting_prices(vals[i], bundle)
             for j in range(m):
                 if sol.assignment[j] == n:
                     assert sol.supporting_prices[j] == 0
+
+
+def test_supporting_prices_match_fraction_reference():
+    """Both families' supporting prices, read off the integer grid, against
+    the ``Fraction`` formulas, on entries with denominators 1-6 and budgets
+    from zero to slack."""
+    rng = random.Random(77)
+
+    def entry():
+        return Fraction(rng.choice([0, 1, 2, 3, 7]), rng.choice([1, 2, 3, 4, 6]))
+
+    binding = 0
+    for _ in range(400):
+        m = rng.randint(0, 6)
+        if rng.random() < 0.5:
+            rows = [[entry() for _ in range(m)] for _ in range(rng.randint(1, 3))]
+            v = xos(*rows)
+        else:
+            values = [entry() for _ in range(m)]
+            budget = sum(values, Fraction(0)) * Fraction(rng.randint(0, 5), 4)
+            v = budget_additive(values, budget)
+        bundle = frozenset(j for j in range(m) if rng.random() < 0.6)
+        prices = supporting_prices(v, bundle)
+        assert prices == reference_supporting_prices(v, bundle)
+        binding += not isinstance(v, XosValuation) and value_query(
+            v, bundle
+        ) < sum((v.item_values[j] for j in bundle), Fraction(0))
+    assert binding > 50
 
 
 class TestMatchesSubsetSplitReference:

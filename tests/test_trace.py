@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from auctionlab.errors import DomainError
+from auctionlab.harness import FAMILIES, GeneratorSpec, generate_instance
 from auctionlab.mechanism import (
     SECOND_PRICE,
     CoinTape,
@@ -116,6 +117,36 @@ class TestBuildTrace:
                 assert union == level.correct
                 assert sum(len(p) for p in diag.demand_partition) == len(level.correct)
                 assert diag.overestimate_ok
+
+    def test_invariants_hold_at_beta_two(self):
+        """Generated instances of every family, n 20-40 and m 4-7, traced on
+        the window [1, 10^7], where beta = 2: build_trace raises on any
+        broken invariant, and some runs must reach iteration 2."""
+        rng = random.Random(4)
+        second = 0
+        for k in range(10):
+            spec = GeneratorSpec(
+                rng.randint(20, 40),
+                rng.randint(4, 7),
+                FAMILIES[k % len(FAMILIES)],
+                seed=rng.randrange(2**31),
+            )
+            inst = generate_instance(spec)
+            m = inst.item_count
+            optimal = brute_force_opt(list(inst.valuations), m)
+            for seed in range(30):
+                run = price_learning_mechanism(
+                    inst.bidders(), m, 1, 10**7, CoinTape(seed)
+                )
+                assert run.params.beta == 2
+                trace = build_trace(run, optimal, run.tree)
+                for earlier, later in zip(trace.levels, trace.levels[1:]):
+                    assert later.correct <= earlier.correct
+                for diag in trace.iterations:
+                    union = frozenset().union(*diag.demand_partition)
+                    assert union == trace.level(diag.level).correct
+                second += len(run.iterations) == 2
+        assert second >= 100
 
     def test_second_price_run_rejected(self):
         bidders = [(0, additive((5, 5)))]

@@ -106,9 +106,9 @@ class TestIntegerGrid:
 
     def test_grid_fields(self):
         v = xos(("1/3", "2.5"), ("3/2", 0))
-        assert (v.scale, v.rows) == (6, ((2, 15), (9, 0)))
+        assert (v.scale, v.rows, v.cap) == (6, ((2, 15), (9, 0)), None)
         b = budget_additive(("1/4", 2), "5/6")
-        assert (b.scale, b.row, b.cap) == (12, (3, 24), 10)
+        assert (b.scale, b.rows, b.cap) == (12, ((3, 24),), 10)
 
     def test_cached_fields_ignored_by_eq_hash_repr(self):
         for make in (
@@ -297,7 +297,7 @@ class TestDemandQuery:
     def test_knapsack_cell_cap(self):
         m = ENUMERATION_CAP + 1
         v = budget_additive([300_000] * m, 10**7)
-        assert sum(v.row) + 1 > KNAPSACK_CELL_CAP
+        assert sum(v.rows[0]) + 1 > KNAPSACK_CELL_CAP
         with pytest.raises(CapabilityError, match="knapsack table"):
             demand_query(v, (Fraction(1),) * m)
 
@@ -318,22 +318,29 @@ class TestSupportingPrices:
         # both clauses give 2 on {0,1}; clause 0 wins
         assert supporting_prices(v, {0, 1}) == {0: 1, 1: 1}
 
-    def test_budget_additive_unsupported(self):
-        with pytest.raises(CapabilityError):
-            supporting_prices(budget_additive((1, 1), 2), {0})
+    def test_budget_additive_scaled_to_budget(self):
+        v = budget_additive((1, 3, 4), 6)
+        assert supporting_prices(v, {0, 1}) == {0: 1, 1: 3}
+        # 3 + 4 exceeds the budget 6, so both shrink by 6/7.
+        assert supporting_prices(v, {1, 2}) == {1: Fraction(18, 7), 2: Fraction(24, 7)}
 
     def test_defining_property_on_random_bundles(self):
         import random
 
         rng = random.Random(90125)
-        for _ in range(40):
+        for _ in range(80):
             m = rng.randint(1, 7)
-            v = xos(
-                *[
-                    [rng.randint(0, 9) for _ in range(m)]
-                    for _ in range(rng.randint(1, 4))
-                ]
-            )
+            if rng.random() < 0.5:
+                v = xos(
+                    *[
+                        [rng.randint(0, 9) for _ in range(m)]
+                        for _ in range(rng.randint(1, 4))
+                    ]
+                )
+            else:
+                v = budget_additive(
+                    [rng.randint(0, 9) for _ in range(m)], rng.randint(0, 30)
+                )
             bundle = frozenset(j for j in range(m) if rng.random() < 0.6)
             prices = supporting_prices(v, bundle)
             assert sum(prices.values(), Fraction(0)) == value_query(v, bundle)
