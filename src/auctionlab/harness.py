@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import ConfigError, DomainError, InvariantViolationError
-from .instances import Instance
+from .instances import Instance, valuation_to_dict
 from .mechanism import CoinTape, MechanismOutcome, bidder_utility, final_mechanism
 from .oracle import brute_force_opt
 from .rationals import as_rational, format_rational
@@ -67,7 +67,8 @@ class GeneratorSpec:
         lo, hi = self.value_range
         if not 0 < lo <= hi:
             raise ConfigError(
-                f"value range must satisfy 0 < lo <= hi, got {self.value_range}"
+                '"value_range" must satisfy 0 < lo <= hi, '
+                f"got {format_rational(lo)} and {format_rational(hi)}"
             )
         # The log-uniform draw takes float logs of lo and of bounds up to the
         # largest budget, m * hi, in cents; float() raises past the range.
@@ -92,10 +93,14 @@ class GeneratorSpec:
                     f'bad generator spec: "{name}" must be a list, '
                     f"got {type(data[name]).__name__}"
                 )
-        try:
-            value_range = tuple(
-                as_rational(x) for x in data.get("value_range", ("1", "100"))
+        raw_range = data.get("value_range", ["1", "100"])
+        if len(raw_range) != 2:
+            raise ConfigError(
+                'bad generator spec: "value_range" must hold two numbers, '
+                f"got {len(raw_range)}"
             )
+        try:
+            value_range = tuple(as_rational(x) for x in raw_range)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f'bad generator spec: "value_range": {exc}') from None
         try:
@@ -354,10 +359,13 @@ def truthfulness_report(
 
     For each tape seed, each bidder, and each of ``deviations`` random
     alternative reports, the deviator's utility (measured with its true
-    valuation) must not exceed its truthful utility -- exactly. Also audits
-    the per-bidder demand-query budget of every run touched. A sweep with no
-    runs would read clean without checking anything, so ``seeds < 1`` or
-    ``deviations < 0`` raises ``ConfigError``.
+    valuation) must not exceed its truthful utility -- exactly. A violation
+    names the seed, the bidder, the gain and the lie, as an instance-format
+    bidder entry, so that ``final_mechanism`` on ``CoinTape(seed)`` with
+    the lie in place replays it. Also audits the per-bidder demand-query
+    budget of every run touched. A sweep with no runs would read clean
+    without checking anything, so ``seeds < 1`` or ``deviations < 0``
+    raises ``ConfigError``.
     """
     if seeds < 1:
         raise ConfigError(f"seeds must be at least 1, got {seeds}")
@@ -377,7 +385,10 @@ def truthfulness_report(
     checked = 0
 
     for seed in range(seeds):
-        honest = final_mechanism(bidders, m, CoinTape(seed))
+        # Every deviation replays the honest run's tape: its draws are made
+        # once per seed, and the record goes when the seed is done.
+        tape = CoinTape(seed)
+        honest = final_mechanism(bidders, m, tape)
         runs += 1
         budget_violations.extend(_query_budget_check(honest, seed))
         base = {
@@ -388,7 +399,7 @@ def truthfulness_report(
                 lie = _deviation(rng, m, entry_draw, budget_draw)
                 twisted = list(bidders)
                 twisted[b] = (b, lie)
-                outcome = final_mechanism(twisted, m, CoinTape(seed))
+                outcome = final_mechanism(twisted, m, tape.replay())
                 runs += 1
                 checked += 1
                 budget_violations.extend(_query_budget_check(outcome, seed))
@@ -399,6 +410,7 @@ def truthfulness_report(
                             "seed": seed,
                             "bidder": b,
                             "gain": format_rational(utility - base[b]),
+                            "lie": valuation_to_dict(lie),
                         }
                     )
     return TruthfulnessReport(

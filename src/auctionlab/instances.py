@@ -49,28 +49,28 @@ class Instance:
         return list(enumerate(self.valuations))
 
 
+def valuation_to_dict(v: Valuation) -> dict:
+    """One bidder entry of the instance format."""
+    if isinstance(v, XosValuation):
+        return {
+            "kind": "xos",
+            "clauses": [
+                [format_rational(x) for x in clause.item_values]
+                for clause in v.clauses
+            ],
+        }
+    return {
+        "kind": "budget_additive",
+        "values": [format_rational(x) for x in v.item_values],
+        "budget": format_rational(v.budget),
+    }
+
+
 def instance_to_dict(instance: Instance) -> dict:
-    bidders = []
-    for v in instance.valuations:
-        if isinstance(v, XosValuation):
-            bidders.append(
-                {
-                    "kind": "xos",
-                    "clauses": [
-                        [format_rational(x) for x in clause.item_values]
-                        for clause in v.clauses
-                    ],
-                }
-            )
-        else:
-            bidders.append(
-                {
-                    "kind": "budget_additive",
-                    "values": [format_rational(x) for x in v.item_values],
-                    "budget": format_rational(v.budget),
-                }
-            )
-    return {"m": instance.item_count, "bidders": bidders}
+    return {
+        "m": instance.item_count,
+        "bidders": [valuation_to_dict(v) for v in instance.valuations],
+    }
 
 
 def _list_field(value: object, i: int, name: str) -> list:

@@ -65,6 +65,16 @@ class CoinTape:
     so the draws of one stream do not shift when another stream draws more or
     less. Draw order within each stream is fixed by the mechanism structure,
     never by bidder reports.
+
+    A tape records every draw, per stream, keyed by that stream's call
+    history: the ``(kind, arg)`` of each call so far, such as ``("perm", 7)``
+    or ``("random",)``. ``replay()`` gives a fresh cursor over the same
+    record, so the runs of one seed against different reports seed no
+    stream again while their calls follow the record. A call the record has
+    not seen at that point (a lie that changes beta changes the partition's
+    calls) re-seeds the stream, replays its history and draws on, which
+    gives exactly the draws of a fresh tape, and adds them to the record.
+    The record lives as long as the tape and its replays.
     """
 
     STREAMS = (
@@ -76,39 +86,82 @@ class CoinTape:
         "j-star",
     )
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, _record: Optional[dict] = None):
         self.seed = seed
-        self._rngs: dict[str, random.Random] = {}
+        # stream -> trie of calls: {call: (result, {next call: ...})}
+        self._record: dict[str, dict] = {} if _record is None else _record
+        # stream -> (this cursor's trie node, its call history, and a PRNG
+        # that has made exactly those calls, or None)
+        self._at: dict[str, tuple[dict, tuple, Optional[random.Random]]] = {}
 
-    def _stream(self, name: str) -> random.Random:
+    def replay(self) -> "CoinTape":
+        """A tape of the same seed that starts from the first draw and reads
+        this tape's record instead of re-drawing it."""
+        return CoinTape(self.seed, self._record)
+
+    def _stream(self, name: str, history: tuple = ()) -> random.Random:
+        """A freshly seeded PRNG for stream ``name`` that has made the calls
+        of ``history``."""
         if name not in self.STREAMS:
             raise DomainError(f"unknown coin stream {name!r}")
-        if name not in self._rngs:
-            digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
-            self._rngs[name] = random.Random(int.from_bytes(digest[:8], "big"))
-        return self._rngs[name]
+        digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
+        rng = random.Random(int.from_bytes(digest[:8], "big"))
+        for call in history:
+            _draw(rng, call)
+        return rng
+
+    def _next(self, name: str, call: tuple):
+        node, history, rng = self._at.get(name) or (
+            self._record.setdefault(name, {}),
+            (),
+            None,
+        )
+        hit = node.get(call)
+        if hit is None:
+            if rng is None:
+                rng = self._stream(name, history)
+            hit = node[call] = (_draw(rng, call), {})
+        else:
+            rng = None  # the record answered; a PRNG would fall behind it
+        self._at[name] = (hit[1], history + (call,), rng)
+        return hit[0]
 
     def second_price_branch(self) -> bool:
-        return self._stream("top-level-branch").random() < 0.5
+        return self._next("top-level-branch", ("random",)) < 0.5
 
     def sample_statistics_group(self, count: int) -> list[bool]:
-        rng = self._stream("stat-sampling")
-        return [rng.random() < 0.5 for _ in range(count)]
+        return list(self._next("stat-sampling", ("flags", count)))
 
     def tree_parity(self) -> str:
-        return ODD if self._stream("tree-parity").random() < 0.5 else EVEN
+        return ODD if self._next("tree-parity", ("random",)) < 0.5 else EVEN
 
     def partition_permutation(self, ids: Sequence[int]) -> list[int]:
-        out = list(ids)
-        self._stream("partition-permutations").shuffle(out)
-        return out
+        ids = list(ids)
+        order = self._next("partition-permutations", ("perm", len(ids)))
+        return [ids[k] for k in order]
 
     def stop_coin(self, beta: int) -> bool:
-        return self._stream("stop-coin").random() < 1.0 / beta
+        return self._next("stop-coin", ("random",)) < 1.0 / beta
 
     def pick_auction(self, alpha: int) -> int:
         """Uniform auction index in 0..alpha-1."""
-        return self._stream("j-star").randrange(alpha)
+        return self._next("j-star", ("randrange", alpha))
+
+
+def _draw(rng: random.Random, call: tuple):
+    """Make one recorded call on ``rng``. ``shuffle`` swaps by position
+    only, so shuffling the indices 0..n-1 consumes and permutes exactly as
+    shuffling any n ids would."""
+    kind = call[0]
+    if kind == "random":
+        return rng.random()
+    if kind == "flags":
+        return tuple(rng.random() < 0.5 for _ in range(call[1]))
+    if kind == "perm":
+        order = list(range(call[1]))
+        rng.shuffle(order)
+        return tuple(order)
+    return rng.randrange(call[1])
 
 
 def partition_bidders(
@@ -206,15 +259,19 @@ def _halve(vector: PriceVector) -> PriceVector:
 
 @lru_cache(maxsize=32)
 def _modified_tree(
-    psi_min: Fraction, psi_max: Fraction, alpha: int, parity: str
-) -> PriceTree:
-    """The modified price tree (and, as its ``params``, the parameters) of a
-    price range. Both are frozen and depend on nothing else, so replays of a
-    tape against different reports share them; the cache is small because a
-    sweep revisits only a few ranges."""
-    return build_modified_tree(
+    psi_min: Fraction, psi_max: Fraction, alpha: int, parity: str, m: int
+) -> tuple[PriceTree, tuple[PriceVector, ...], tuple[PriceVector, ...]]:
+    """The modified price tree of a price range (with the parameters as its
+    ``params``), and iteration 1's alpha canonical vectors over ``m`` items
+    with their halves. Iteration 1 always refines the root price vector, so
+    all of it depends on nothing else and is frozen: replays of a tape
+    against different reports share it. The cache is small because a sweep
+    revisits only a few ranges."""
+    tree = build_modified_tree(
         build_bins(solve_parameters(psi_min, psi_max, alpha)), parity
     )
+    vectors = tuple(canonical_vectors(tree, tree.root_price_vector(m), 1))
+    return tree, vectors, tuple(_halve(v) for v in vectors)
 
 
 def price_learning_mechanism(
@@ -232,8 +289,8 @@ def price_learning_mechanism(
     demand-queried at most alpha times: alpha times if its group's iteration
     was reached, once for the final group, never otherwise.
     """
-    tree = _modified_tree(
-        as_rational(psi_min), as_rational(psi_max), alpha, tape.tree_parity()
+    tree, vectors, halves = _modified_tree(
+        as_rational(psi_min), as_rational(psi_max), alpha, tape.tree_parity(), m
     )
     params = tree.params
     ids = [b for b, _ in bidders]
@@ -251,13 +308,14 @@ def price_learning_mechanism(
     j_star: Optional[int] = None
 
     for i in range(1, params.beta + 1):
-        vectors = canonical_vectors(tree, prices, i)
+        if i > 1:
+            vectors = tuple(canonical_vectors(tree, prices, i))
+            halves = tuple(_halve(v) for v in vectors)
         group = [(b, by_id[b]) for b in groups[i - 1]]
         allocations = tuple(
-            fixed_price_auction(group, items, _halve(v), query_log=log)
-            for v in vectors
+            fixed_price_auction(group, items, h, query_log=log) for h in halves
         )
-        records.append(IterationRecord(i, tuple(vectors), allocations))
+        records.append(IterationRecord(i, vectors, allocations))
         stop = tape.stop_coin(params.beta)
         pick = tape.pick_auction(params.alpha)
         if stop:

@@ -235,6 +235,9 @@ def test_truthtest_without_runs_is_usage_error(capsys, instance_file, flags, mes
         ({"value_range": ["1", "1e400"]}, "value_range lies outside the float"),
         ({"value_range": ["1e-400", "1"]}, "value_range lies outside the float"),
         ({"value_range": [True, 5]}, '"value_range": expected int, str'),
+        ({"value_range": ["1", "2", "3"]}, '"value_range" must hold two numbers, got 3'),
+        ({"value_range": []}, '"value_range" must hold two numbers, got 0'),
+        ({"value_range": ["5", "1"]}, "0 < lo <= hi, got 5 and 1"),
         ([1], "generator spec must hold a JSON object, got list"),
     ],
     ids=[
@@ -252,6 +255,9 @@ def test_truthtest_without_runs_is_usage_error(capsys, instance_file, flags, mes
         "overflowing-value-range",
         "underflowing-value-range",
         "bool-value-range",
+        "triple-value-range",
+        "empty-value-range",
+        "reversed-value-range",
         "list-spec",
     ],
 )

@@ -3,10 +3,13 @@
 import io
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from auctionlab import harness
+from auctionlab.auction import Allocation
 from auctionlab.errors import CapabilityError, ConfigError, InstanceShapeError
 from auctionlab.harness import (
     _deviation,
@@ -26,6 +29,7 @@ from auctionlab.instances import (
     instance_to_dict,
     load_instance,
 )
+from auctionlab.mechanism import SECOND_PRICE, CoinTape, bidder_utility
 from auctionlab.rationals import format_rational
 from auctionlab.valuations import XosValuation, additive, budget_additive, xos
 
@@ -248,6 +252,38 @@ class TestTruthfulnessReport:
         assert report.clean
         assert report.deviations_checked == 4 * 3 * 3
         assert report.runs == 4 * (1 + 3 * 3)
+
+    def test_violations_carry_a_reproducer(self, monkeypatch):
+        """A planted mechanism that lets the second-price winner keep the
+        grand bundle for free rewards overbidding. Each violation it shows
+        names a lie that reloads from the instance format and, replayed at
+        the violation's seed, gives the reported gain."""
+        real = harness.final_mechanism
+
+        def free_grand_bundle(bidders, m, tape):
+            outcome = real(bidders, m, tape)
+            if outcome.branch != SECOND_PRICE:
+                return outcome
+            return replace(
+                outcome, allocation=Allocation(outcome.allocation.bundles, {})
+            )
+
+        monkeypatch.setattr(harness, "final_mechanism", free_grand_bundle)
+        inst = generate_instance(GeneratorSpec(3, 2, seed=14))
+        m, bidders = inst.item_count, inst.bidders()
+        report = truthfulness_report(inst, seeds=4, deviations=3)
+        assert report.violations
+        for violation in report.violations:
+            assert set(violation) == {"seed", "bidder", "gain", "lie"}
+            seed, b = violation["seed"], violation["bidder"]
+            lie = instance_from_dict({"m": m, "bidders": [violation["lie"]]})
+            twisted = list(bidders)
+            twisted[b] = (b, lie.valuations[0])
+            truth = bidders[b][1]
+            honest = free_grand_bundle(bidders, m, CoinTape(seed))
+            lying = free_grand_bundle(twisted, m, CoinTape(seed))
+            gain = bidder_utility(lying, b, truth) - bidder_utility(honest, b, truth)
+            assert format_rational(gain) == violation["gain"]
 
     def test_deviations_match_reference(self):
         for m in range(1, 7):

@@ -1,5 +1,6 @@
 """Coin tape, partitioning, price updates, and the full mechanism."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auctionlab import harness
 from auctionlab.auction import (
     Allocation,
     fixed_price_auction,
@@ -18,6 +20,7 @@ from auctionlab.mechanism import (
     LEARNING_STOPPED,
     SECOND_PRICE,
     CoinTape,
+    _halve,
     _modified_tree,
     bidder_utility,
     final_mechanism,
@@ -25,15 +28,61 @@ from auctionlab.mechanism import (
     price_learning_mechanism,
     price_update,
 )
+from auctionlab.instances import Instance
 from auctionlab.oracle import welfare
 from auctionlab.price_tree import (
     EVEN,
     ODD,
     build_bins,
     build_modified_tree,
+    canonical_vectors,
     solve_parameters,
 )
 from auctionlab.valuations import additive, budget_additive, xos
+
+
+class ReferenceCoinTape:
+    """The tape without a record: every stream seeded on its first draw and
+    drawn from directly. The reference that recorded and replayed tapes must
+    match draw for draw; ``replay`` is a fresh tape of the same seed."""
+
+    STREAMS = CoinTape.STREAMS
+
+    def __init__(self, seed):
+        self.seed = seed
+        self._rngs = {}
+
+    def replay(self):
+        return ReferenceCoinTape(self.seed)
+
+    def _stream(self, name):
+        if name not in self.STREAMS:
+            raise DomainError(f"unknown coin stream {name!r}")
+        if name not in self._rngs:
+            digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
+            self._rngs[name] = random.Random(int.from_bytes(digest[:8], "big"))
+        return self._rngs[name]
+
+    def second_price_branch(self):
+        return self._stream("top-level-branch").random() < 0.5
+
+    def sample_statistics_group(self, count):
+        rng = self._stream("stat-sampling")
+        return [rng.random() < 0.5 for _ in range(count)]
+
+    def tree_parity(self):
+        return ODD if self._stream("tree-parity").random() < 0.5 else EVEN
+
+    def partition_permutation(self, ids):
+        out = list(ids)
+        self._stream("partition-permutations").shuffle(out)
+        return out
+
+    def stop_coin(self, beta):
+        return self._stream("stop-coin").random() < 1.0 / beta
+
+    def pick_auction(self, alpha):
+        return self._stream("j-star").randrange(alpha)
 
 
 def random_bidders(rng, n, m, hi=30):
@@ -69,6 +118,171 @@ class TestCoinTape:
     def test_unknown_stream_rejected(self):
         with pytest.raises(DomainError):
             CoinTape(1)._stream("nonsense")
+
+
+def random_call(rng):
+    """One tape call with arguments in the ranges the mechanism uses."""
+    name = rng.choice(CoinTape.STREAMS)
+    if name == "stat-sampling":
+        return "sample_statistics_group", (rng.randint(0, 6),)
+    if name == "partition-permutations":
+        ids = rng.sample(range(100), rng.randint(0, 8))
+        return "partition_permutation", (ids,)
+    if name == "stop-coin":
+        return "stop_coin", (rng.randint(1, 3),)
+    if name == "j-star":
+        return "pick_auction", (rng.randint(1, 3),)
+    if name == "tree-parity":
+        return "tree_parity", ()
+    return "second_price_branch", ()
+
+
+def play(tape, calls):
+    return [getattr(tape, method)(*args) for method, args in calls]
+
+
+class TestTapeReplay:
+    def test_replays_match_fresh_reference_tapes(self):
+        """Every replay draws what a fresh tape would, whether its calls
+        follow the record, stop short of it, run past it, or diverge from it
+        in a count, a length or a beta; so does a replay after others have
+        added their divergent branches to the record."""
+        rng = random.Random(12)
+        diverged = 0
+        for seed in range(60):
+            base = [random_call(rng) for _ in range(rng.randint(0, 14))]
+            tape = CoinTape(seed)
+            assert play(tape, base) == play(ReferenceCoinTape(seed), base)
+            for _ in range(8):
+                calls = base[: rng.randint(0, len(base))]
+                if rng.random() < 0.5 and calls:
+                    # The same method with other arguments, at a random point.
+                    k = rng.randrange(len(calls))
+                    method = calls[k][0]
+                    while True:
+                        other = random_call(rng)
+                        if other[0] == method:
+                            break
+                    diverged += other != calls[k]
+                    calls[k] = other
+                calls += [random_call(rng) for _ in range(rng.randint(0, 6))]
+                source = tape if rng.random() < 0.5 else tape.replay()
+                replay = source.replay()
+                assert play(replay, calls) == play(ReferenceCoinTape(seed), calls)
+        assert diverged > 100
+
+    def test_interleaved_replays_match_fresh_reference_tapes(self):
+        """Two replays make the same calls, taking turns in a random order,
+        so each keeps finding the record grown by the other right behind a
+        draw of its own; both still draw what a fresh tape would."""
+        rng = random.Random(14)
+        for seed in range(60):
+            base = [random_call(rng) for _ in range(rng.randint(0, 10))]
+            tape = CoinTape(seed)
+            play(tape, base)
+            calls = base[: rng.randint(0, len(base))]
+            calls += [random_call(rng) for _ in range(rng.randint(0, 10))]
+            first, second = [tape.replay(), []], [tape.replay(), []]
+            for method, args in calls:
+                for cursor, out in rng.sample((first, second), 2):
+                    out.append(getattr(cursor, method)(*args))
+            reference = play(ReferenceCoinTape(seed), calls)
+            assert first[1] == second[1] == reference
+
+    def test_seeds_each_stream_at_most_once(self, monkeypatch):
+        """A tape seeds each stream once, on its first draw from it; a
+        replay whose calls follow the record seeds none."""
+        seeded = []
+        real = CoinTape._stream
+
+        def counted(self, name, history=()):
+            seeded.append(name)
+            return real(self, name, history)
+
+        monkeypatch.setattr(CoinTape, "_stream", counted)
+        bidders = random_bidders(random.Random(13), 24, 3)
+        for seed in range(20):
+            seeded.clear()
+            tape = CoinTape(seed)
+            honest = final_mechanism(bidders, 3, tape)
+            assert len(seeded) == len(set(seeded))
+            seeded.clear()
+            again = final_mechanism(bidders, 3, tape.replay())
+            assert seeded == []
+            assert again == honest
+
+
+def sweep_outcomes(monkeypatch, instance, tape_class, seeds, deviations):
+    """The report of a truthfulness sweep run on ``tape_class`` tapes, the
+    outcome of every run it made, and how many times a stream was seeded
+    past the start of its history."""
+    outcomes = []
+    reseeded = []
+    real_mechanism, real_stream = harness.final_mechanism, CoinTape._stream
+
+    def recorded(*args, **kwargs):
+        outcome = real_mechanism(*args, **kwargs)
+        outcomes.append(outcome)
+        return outcome
+
+    def counted(self, name, history=()):
+        reseeded.extend(history[:1])
+        return real_stream(self, name, history)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "CoinTape", tape_class)
+        patch.setattr(harness, "final_mechanism", recorded)
+        patch.setattr(CoinTape, "_stream", counted)
+        report = harness.truthfulness_report(instance, seeds, deviations)
+    return report, outcomes, len(reseeded)
+
+
+class TestSweepReplay:
+    @pytest.mark.parametrize(
+        "n, m, family, worthless, mixed_seeds",
+        [
+            (3, 4, "xos-random", False, 0),
+            (5, 6, "additive", False, 0),
+            (4, 5, "budget-additive", False, 0),
+            (2, 15, "xos-random", False, 1),
+            (3, 15, "budget-additive", False, 1),
+            (2, 16, "additive", False, 0),
+            (6, 15, "additive", False, 0),
+            (2, 15, "additive", True, 1),
+            (2, 16, "xos-random", True, 1),
+        ],
+    )
+    def test_sweep_matches_one_fresh_tape_per_run(
+        self, monkeypatch, n, m, family, worthless, mixed_seeds
+    ):
+        """The sweep's replays give every run the outcome a fresh tape
+        gives. At m >= 15 a statistic of zero turns beta = 2 into beta = 1,
+        so a lie can change how many partition and stop-coin draws a run
+        makes. With bidder 0 worthless, an honest run that samples only it
+        has beta = 1, and a lie of worth makes the replay draw past the
+        record, re-seeding the stream there. ``mixed_seeds`` is how many
+        seeds at least must see both betas."""
+        instance = harness.generate_instance(
+            harness.GeneratorSpec(n, m, family, seed=100 * n + m)
+        )
+        if worthless:
+            instance = Instance(m, (xos([0] * m),) + instance.valuations[1:])
+        seeds, deviations = (8, 3) if m >= 15 else (12, 4)
+        report, outcomes, reseeded = sweep_outcomes(
+            monkeypatch, instance, CoinTape, seeds, deviations
+        )
+        reference = sweep_outcomes(
+            monkeypatch, instance, ReferenceCoinTape, seeds, deviations
+        )
+        assert (report, outcomes) == reference[:2]
+        runs = 1 + n * deviations
+        assert len(outcomes) == seeds * runs
+        betas = [
+            {o.params.beta for o in outcomes[s * runs : (s + 1) * runs] if o.params}
+            for s in range(seeds)
+        ]
+        assert sum(len(b) > 1 for b in betas) >= mixed_seeds
+        assert (reseeded > 0) == worthless
 
 
 class TestPartition:
@@ -157,11 +371,16 @@ class TestPriceLearningMechanism:
         for alpha in (2, 3):
             fresh = solve_parameters(psi_min, psi_max, alpha)
             for parity in (ODD, EVEN, ODD, EVEN):  # the repeats come from the cache
-                tree = _modified_tree(
-                    Fraction(psi_min), Fraction(psi_max), alpha, parity
-                )
-                assert tree.params == fresh
-                assert tree == build_modified_tree(build_bins(fresh), parity)
+                for m in (0, 1, 3, 8):
+                    tree, vectors, halves = _modified_tree(
+                        Fraction(psi_min), Fraction(psi_max), alpha, parity, m
+                    )
+                    assert tree.params == fresh
+                    assert tree == build_modified_tree(build_bins(fresh), parity)
+                    reference = canonical_vectors(tree, tree.root_price_vector(m), 1)
+                    assert vectors == tuple(reference)
+                    assert halves == tuple(_halve(v) for v in reference)
+                    assert len(halves) == alpha
             for seed in range(6):
                 run = price_learning_mechanism(
                     bidders, 3, psi_min, psi_max, CoinTape(seed), alpha=alpha
