@@ -8,6 +8,7 @@ configuration reproduces its CSV byte for byte.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -15,8 +16,14 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import ConfigError, DomainError, InvariantViolationError
-from .instances import Instance, valuation_to_dict
-from .mechanism import CoinTape, MechanismOutcome, bidder_utility, final_mechanism
+from .instances import Instance, instance_to_dict, valuation_to_dict
+from .mechanism import (
+    CoinTape,
+    MechanismOutcome,
+    bidder_utility,
+    final_mechanism,
+    sha256,
+)
 from .oracle import brute_force_opt
 from .rationals import as_rational, format_rational
 from .valuations import Valuation, budget_additive, xos
@@ -347,6 +354,12 @@ def _query_budget_check(outcome: MechanismOutcome, seed: int) -> list[dict]:
     return bad
 
 
+def instance_digest(instance: Instance) -> str:
+    """The sha256 hex digest of the instance's compact, key-sorted JSON."""
+    text = json.dumps(instance_to_dict(instance), sort_keys=True, separators=(",", ":"))
+    return sha256(text.encode()).hexdigest()
+
+
 def truthfulness_report(
     instance: Instance,
     seeds: int,
@@ -360,9 +373,10 @@ def truthfulness_report(
     For each tape seed, each bidder, and each of ``deviations`` random
     alternative reports, the deviator's utility (measured with its true
     valuation) must not exceed its truthful utility -- exactly. A violation
-    names the seed, the bidder, the gain and the lie, as an instance-format
-    bidder entry, so that ``final_mechanism`` on ``CoinTape(seed)`` with
-    the lie in place replays it. Also audits the per-bidder demand-query
+    names the seed, the bidder, the gain, the lie, as an instance-format
+    bidder entry, and the instance, by ``instance_digest``, so that
+    ``final_mechanism`` on ``CoinTape(seed)`` with the lie in place replays
+    it on the instance it names. Also audits the per-bidder demand-query
     budget of every run touched. A sweep with no runs would read clean
     without checking anything, so ``seeds < 1`` or ``deviations < 0``
     raises ``ConfigError``.
@@ -411,6 +425,7 @@ def truthfulness_report(
                             "bidder": b,
                             "gain": format_rational(utility - base[b]),
                             "lie": valuation_to_dict(lie),
+                            "instance": instance_digest(instance),
                         }
                     )
     return TruthfulnessReport(

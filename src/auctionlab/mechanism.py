@@ -22,7 +22,6 @@ but were not selected allocate nothing and charge nothing.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -48,10 +47,21 @@ from .price_tree import (
     build_bins,
     build_modified_tree,
     canonical_vectors,
+    check_range,
     solve_parameters,
 )
 from .rationals import RationalLike, as_rational
 from .valuations import Valuation, value_query
+
+# The interpreter's own SHA-256, as ``random`` uses for its seeds: hashlib
+# would load OpenSSL, several MiB, for a few short digests.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 SECOND_PRICE = "second-price"
 LEARNING_STOPPED = "learning-stopped"
@@ -104,7 +114,7 @@ class CoinTape:
         of ``history``."""
         if name not in self.STREAMS:
             raise DomainError(f"unknown coin stream {name!r}")
-        digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
+        digest = sha256(f"{self.seed}:{name}".encode()).digest()
         rng = random.Random(int.from_bytes(digest[:8], "big"))
         for call in history:
             _draw(rng, call)
@@ -242,7 +252,7 @@ class MechanismOutcome:
     demand_queries: dict[int, int] = field(default_factory=dict)
     learned_prices: tuple[PriceVector, ...] = ()
     params: Optional[Params] = None
-    tree: Optional[PriceTree] = None
+    parity: Optional[str] = None
     groups: tuple[tuple[int, ...], ...] = ()
     iterations: tuple[IterationRecord, ...] = ()
     statistics_group: tuple[int, ...] = ()
@@ -252,26 +262,55 @@ class MechanismOutcome:
     def total_demand_queries(self) -> int:
         return sum(self.demand_queries.values())
 
+    @property
+    def tree(self) -> Optional[PriceTree]:
+        """The modified price tree the run priced from, None on the
+        second-price branch. Built on demand, once per range and parity."""
+        if self.params is None:
+            return None
+        return _range_tree(self.params, self.parity)
+
 
 def _halve(vector: PriceVector) -> PriceVector:
     return tuple(p / 2 for p in vector)
 
 
 @lru_cache(maxsize=32)
-def _modified_tree(
+def _range_tree(params: Params, parity: str) -> PriceTree:
+    """The modified price tree of a range. Only iterations >= 2 and readers
+    of ``MechanismOutcome.tree`` need it."""
+    return build_modified_tree(build_bins(params), parity)
+
+
+@lru_cache(maxsize=32)
+def _unit_tree(ratio: Fraction, alpha: int, parity: str) -> PriceTree:
+    """The modified price tree of [1, ratio]. (alpha, beta, gamma) depend on
+    the ratio alone, and every price of the tree of [psi_min, psi_max] is
+    psi_min times the matching price here: bins are psi_min * gamma^k and
+    dummies psi_max * gamma^k. One tree serves every range of a shape."""
+    return build_modified_tree(build_bins(solve_parameters(1, ratio, alpha)), parity)
+
+
+@lru_cache(maxsize=32)
+def _first_prices(
     psi_min: Fraction, psi_max: Fraction, alpha: int, parity: str, m: int
-) -> tuple[PriceTree, tuple[PriceVector, ...], tuple[PriceVector, ...]]:
-    """The modified price tree of a price range (with the parameters as its
-    ``params``), and iteration 1's alpha canonical vectors over ``m`` items
-    with their halves. Iteration 1 always refines the root price vector, so
-    all of it depends on nothing else and is frozen: replays of a tape
-    against different reports share it. The cache is small because a sweep
-    revisits only a few ranges."""
-    tree = build_modified_tree(
-        build_bins(solve_parameters(psi_min, psi_max, alpha)), parity
+) -> tuple[Params, PriceVector, tuple[PriceVector, ...], tuple[PriceVector, ...]]:
+    """A range's parameters, its root price vector over ``m`` items, and
+    iteration 1's alpha canonical vectors with their halves, scaled from the
+    unit tree of the range's ratio. The root vector is constant, so
+    iteration 1's vectors are the constant vectors of the root's children.
+    All of it is frozen: replays of a tape against different reports share
+    it. The cache is small because a sweep revisits only a few ranges."""
+    check_range(psi_min, psi_max)
+    unit = _unit_tree(psi_max / psi_min, alpha, parity)
+    params = replace(unit.params, psi_min=psi_min, psi_max=psi_max)
+    children = [psi_min * child.price for child in unit.root.children]
+    return (
+        params,
+        (psi_min * unit.root.price,) * m,
+        tuple((p,) * m for p in children),
+        tuple((p / 2,) * m for p in children),
     )
-    vectors = tuple(canonical_vectors(tree, tree.root_price_vector(m), 1))
-    return tree, vectors, tuple(_halve(v) for v in vectors)
 
 
 def price_learning_mechanism(
@@ -289,17 +328,16 @@ def price_learning_mechanism(
     demand-queried at most alpha times: alpha times if its group's iteration
     was reached, once for the final group, never otherwise.
     """
-    tree, vectors, halves = _modified_tree(
-        as_rational(psi_min), as_rational(psi_max), alpha, tape.tree_parity(), m
+    parity = tape.tree_parity()
+    params, prices, vectors, halves = _first_prices(
+        as_rational(psi_min), as_rational(psi_max), alpha, parity, m
     )
-    params = tree.params
     ids = [b for b, _ in bidders]
     by_id = dict(bidders)
     groups = partition_bidders(ids, params.beta, tape)
     items = range(m)
 
     log = QueryLog()
-    prices = tree.root_price_vector(m)
     learned = [prices]
     records: list[IterationRecord] = []
     selected: Optional[Allocation] = None
@@ -309,7 +347,7 @@ def price_learning_mechanism(
 
     for i in range(1, params.beta + 1):
         if i > 1:
-            vectors = tuple(canonical_vectors(tree, prices, i))
+            vectors = tuple(canonical_vectors(_range_tree(params, parity), prices, i))
             halves = tuple(_halve(v) for v in vectors)
         group = [(b, by_id[b]) for b in groups[i - 1]]
         allocations = tuple(
@@ -344,7 +382,7 @@ def price_learning_mechanism(
         demand_queries=dict(log.demand),
         learned_prices=tuple(learned),
         params=params,
-        tree=tree,
+        parity=parity,
         groups=tuple(tuple(g) for g in groups),
         iterations=tuple(records),
     )

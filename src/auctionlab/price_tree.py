@@ -50,10 +50,7 @@ class Params:
             raise DomainError(f"beta must be an integer >= 1, got {self.beta}")
         if self.gamma <= 1:
             raise DomainError(f"gamma must exceed 1, got {self.gamma}")
-        if self.psi_min <= 0:
-            raise DomainError(f"psi_min must be positive, got {self.psi_min}")
-        if self.psi_max < self.psi_min:
-            raise DomainError("psi_max must be at least psi_min")
+        check_range(self.psi_min, self.psi_max)
 
     @property
     def psi_ratio(self) -> Fraction:
@@ -67,6 +64,14 @@ class Params:
     @property
     def leaf_capacity(self) -> int:
         return self.alpha**self.beta
+
+
+def check_range(psi_min: Fraction, psi_max: Fraction) -> None:
+    """A price range must have 0 < psi_min <= psi_max."""
+    if psi_min <= 0:
+        raise DomainError(f"psi_min must be positive, got {psi_min}")
+    if psi_max < psi_min:
+        raise DomainError("psi_max must be at least psi_min")
 
 
 def ceil_log(gamma: Fraction, ratio: Fraction) -> int:
@@ -107,10 +112,7 @@ def solve_parameters(
     """
     lo = as_rational(psi_min)
     hi = as_rational(psi_max)
-    if lo <= 0:
-        raise DomainError(f"psi_min must be positive, got {lo}")
-    if hi < lo:
-        raise DomainError("psi_max must be at least psi_min")
+    check_range(lo, hi)
     ratio = hi / lo
     beta = 1
     while True:

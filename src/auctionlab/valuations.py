@@ -25,6 +25,8 @@ holds, ``rows`` are its additive rows times ``scale`` (the XOS clauses, or
 the budget-additive item values as one row), and ``cap`` is the budget times
 ``scale``, or ``None`` for XOS. A bundle's value is the largest row sum over
 it, capped when there is a cap, turned into one ``Fraction`` at the end.
+The value of the whole item set, which every second-price auction asks
+for, is worked out once per valuation as ``grand_value``.
 The demand backend enumerates the 2^m bundles on a grid shared with the
 prices, so comparisons are pure integer comparisons. Beyond
 ``ENUMERATION_CAP`` items only budget-additive valuations are served, by a
@@ -102,6 +104,11 @@ class XosValuation:
             tuple(scaled_ints(c.item_values, self.scale)) for c in self.clauses
         )
 
+    @cached_property
+    def grand_value(self) -> Fraction:
+        """The value of all the items: the largest row sum."""
+        return Fraction(max(map(sum, self.rows)), self.scale)
+
     def maximizing_clause(self, items: Iterable[int]) -> int:
         """Index of a clause attaining the bundle's value (lowest index wins)."""
         bundle = tuple(items)
@@ -142,6 +149,11 @@ class BudgetAdditiveValuation:
         """The budget times ``scale``."""
         return self.budget.numerator * self.scale // self.budget.denominator
 
+    @cached_property
+    def grand_value(self) -> Fraction:
+        """The value of all the items: the row sum, capped."""
+        return Fraction(min(self.cap, sum(self.rows[0])), self.scale)
+
 
 Valuation = Union[XosValuation, BudgetAdditiveValuation]
 
@@ -177,6 +189,8 @@ def _check_items(m: int, items: Iterable[int]) -> ItemSet:
 def value_query(valuation: Valuation, items: Iterable[int]) -> Fraction:
     """v(S) for a bundle S, exactly."""
     bundle = _check_items(valuation.item_count, items)
+    if len(bundle) == valuation.item_count:
+        return valuation.grand_value
     total = max(sum(map(row.__getitem__, bundle)) for row in valuation.rows)
     if valuation.cap is not None:
         total = min(valuation.cap, total)

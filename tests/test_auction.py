@@ -135,6 +135,13 @@ class TestSecondPriceGrandBundle:
         assert alloc.payment(0) == 7
         assert alloc.bundle(1) == frozenset() and alloc.payment(1) == 0
 
+    def test_one_value_query_per_bidder_per_auction(self):
+        log = QueryLog()
+        bidders = [(4, additive((5, 1))), (9, budget_additive((4, 4), 6))]
+        for _ in range(3):
+            second_price_grand_bundle(bidders, range(2), query_log=log)
+        assert log.value == {4: 3, 9: 3}
+
     def test_single_bidder_pays_nothing(self):
         alloc = second_price_grand_bundle([(0, additive((10,)))], {0})
         assert alloc.bundle(0) == {0}

@@ -1,6 +1,8 @@
 """Generator determinism, experiment reports, instance round-trips."""
 
+import hashlib
 import io
+import json
 import math
 import random
 from dataclasses import replace
@@ -274,7 +276,10 @@ class TestTruthfulnessReport:
         report = truthfulness_report(inst, seeds=4, deviations=3)
         assert report.violations
         for violation in report.violations:
-            assert set(violation) == {"seed", "bidder", "gain", "lie"}
+            assert set(violation) == {"seed", "bidder", "gain", "lie", "instance"}
+            reloaded = instance_to_dict(instance_from_dict(instance_to_dict(inst)))
+            text = json.dumps(reloaded, sort_keys=True, separators=(",", ":"))
+            assert violation["instance"] == hashlib.sha256(text.encode()).hexdigest()
             seed, b = violation["seed"], violation["bidder"]
             lie = instance_from_dict({"m": m, "bidders": [violation["lie"]]})
             twisted = list(bidders)

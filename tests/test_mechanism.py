@@ -1,13 +1,18 @@
 """Coin tape, partitioning, price updates, and the full mechanism."""
 
 import hashlib
+import importlib.util
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import auctionlab
 from auctionlab import harness
 from auctionlab.auction import (
     Allocation,
@@ -20,13 +25,17 @@ from auctionlab.mechanism import (
     LEARNING_STOPPED,
     SECOND_PRICE,
     CoinTape,
+    MechanismOutcome,
+    _first_prices,
     _halve,
-    _modified_tree,
+    _range_tree,
+    _unit_tree,
     bidder_utility,
     final_mechanism,
     partition_bidders,
     price_learning_mechanism,
     price_update,
+    sha256,
 )
 from auctionlab.instances import Instance
 from auctionlab.oracle import welfare
@@ -118,6 +127,37 @@ class TestCoinTape:
     def test_unknown_stream_rejected(self):
         with pytest.raises(DomainError):
             CoinTape(1)._stream("nonsense")
+
+    def test_stream_seeds_match_hashlib(self):
+        for seed in (0, 1, 41, -1, -7, 2**63, 2**70, -(2**70)):
+            for name in CoinTape.STREAMS:
+                text = f"{seed}:{name}".encode()
+                digest = hashlib.sha256(text).digest()
+                assert sha256(text).digest() == digest
+                expected = random.Random(int.from_bytes(digest[:8], "big"))
+                assert CoinTape(seed)._stream(name).getstate() == expected.getstate()
+
+
+@pytest.mark.skipif(
+    all(importlib.util.find_spec(name) is None for name in ("_sha2", "_sha256")),
+    reason="this interpreter has no builtin SHA-256",
+)
+def test_import_leaves_openssl_unloaded():
+    """Importing the package must not load ``_hashlib`` (OpenSSL): it costs
+    several MiB of memory in every process that runs a mechanism."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(auctionlab.__file__)))
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import auctionlab; "
+        "print('_hashlib' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def random_call(rng):
@@ -368,16 +408,17 @@ class TestPriceLearningMechanism:
     )
     def test_cached_tree_matches_fresh_build(self, psi_min, psi_max):
         bidders = random_bidders(random.Random(5), 4, 3)
+        lo, hi = Fraction(psi_min), Fraction(psi_max)
         for alpha in (2, 3):
             fresh = solve_parameters(psi_min, psi_max, alpha)
             for parity in (ODD, EVEN, ODD, EVEN):  # the repeats come from the cache
+                tree = build_modified_tree(build_bins(fresh), parity)
+                assert _range_tree(fresh, parity) == tree
                 for m in (0, 1, 3, 8):
-                    tree, vectors, halves = _modified_tree(
-                        Fraction(psi_min), Fraction(psi_max), alpha, parity, m
-                    )
-                    assert tree.params == fresh
-                    assert tree == build_modified_tree(build_bins(fresh), parity)
-                    reference = canonical_vectors(tree, tree.root_price_vector(m), 1)
+                    params, root, vectors, halves = _first_prices(lo, hi, alpha, parity, m)
+                    assert params == fresh
+                    assert root == tree.root_price_vector(m)
+                    reference = canonical_vectors(tree, root, 1)
                     assert vectors == tuple(reference)
                     assert halves == tuple(_halve(v) for v in reference)
                     assert len(halves) == alpha
@@ -386,7 +427,7 @@ class TestPriceLearningMechanism:
                     bidders, 3, psi_min, psi_max, CoinTape(seed), alpha=alpha
                 )
                 assert run.params == fresh
-                assert run.tree == build_modified_tree(build_bins(fresh), run.tree.parity)
+                assert run.tree == build_modified_tree(build_bins(fresh), run.parity)
 
     def test_stopped_run_allocates_only_from_that_iteration(self):
         rng = random.Random(1)
@@ -461,6 +502,83 @@ class TestPriceLearningMechanism:
         bidders = random_bidders(random.Random(5), 4, 3)
         out = price_learning_mechanism(bidders, 3, 1, 10**4, CoinTape(9))
         assert out.welfare == welfare(out.allocation, dict(bidders))
+
+
+def shape_ranges(rng):
+    """Price ranges of every kind the mechanism meets: top-level ranges
+    [A/m^2, 8A] for m in 1..20, arbitrary rational ratios, ratio 1 (the
+    [1, 1] of a zero statistic among them) and ratios wide enough for
+    beta = 2."""
+    ranges = [(Fraction(1), Fraction(1))]
+    for m in range(1, 21):
+        for _ in range(20):
+            a = Fraction(rng.randint(1, 10**6), rng.choice([1, 2, 3, 7, 100, 9973]))
+            ranges.append((a / (m * m), 8 * a))
+    for _ in range(300):
+        lo = Fraction(rng.randint(1, 10**4), rng.randint(1, 500))
+        ratio = Fraction(rng.randint(1, 10**5), rng.randint(1, 10**3))
+        ranges.append((lo, lo * max(ratio, 1 / ratio)))
+    for _ in range(100):
+        c = Fraction(rng.randint(1, 10**4), rng.randint(1, 100))
+        ranges.append((c, c))
+    for _ in range(200):
+        lo = Fraction(rng.randint(1, 10**4), rng.randint(1, 100))
+        wide = rng.choice([10**6, 3 * 10**6, 10**7, Fraction(10**8, 7)])
+        ranges.append((lo, lo * wide))
+    return ranges
+
+
+class TestPricesByShape:
+    """A range's first prices are scaled from the tree of [1, ratio]; the
+    reference is the range's own tree, built afresh."""
+
+    def test_scaled_prices_match_fresh_builds(self):
+        rng = random.Random(11)
+        ranges = shape_ranges(rng)
+        assert len(ranges) >= 1000
+        wide = 0
+        for k, (lo, hi) in enumerate(ranges):
+            alpha, parity, m = rng.choice((2, 3)), rng.choice((ODD, EVEN)), rng.randint(0, 8)
+            fresh = solve_parameters(lo, hi, alpha)
+            wide += fresh.beta == 2
+            tree = build_modified_tree(build_bins(fresh), parity)
+            params, root, vectors, halves = _first_prices(lo, hi, alpha, parity, m)
+            assert params == fresh
+            assert root == tree.root_price_vector(m)
+            reference = canonical_vectors(tree, root, 1)
+            assert vectors == tuple(reference)
+            assert halves == tuple(_halve(v) for v in reference)
+            run = price_learning_mechanism([], m, lo, hi, CoinTape(k), alpha=alpha)
+            assert run.tree == build_modified_tree(build_bins(fresh), run.parity)
+        assert wide >= 150
+
+    def test_one_unit_tree_per_shape(self):
+        _first_prices.cache_clear()
+        _unit_tree.cache_clear()
+        rng = random.Random(12)
+        for _ in range(50):
+            a = Fraction(rng.randint(1, 10**6), rng.randint(1, 100))
+            for parity in (ODD, EVEN):
+                _first_prices(a / 36, 8 * a, 2, parity, 6)
+        assert _unit_tree.cache_info().misses == 2
+
+    @pytest.mark.parametrize(
+        "psi_min, psi_max, message",
+        [
+            (0, 5, "psi_min must be positive"),
+            (0, 0, "psi_min must be positive"),
+            (-1, 5, "psi_min must be positive"),
+            ("-1/3", "-1/6", "psi_min must be positive"),
+            (5, 4, "psi_max must be at least psi_min"),
+            ("1/2", "1/3", "psi_max must be at least psi_min"),
+            (1, 0, "psi_max must be at least psi_min"),
+        ],
+    )
+    def test_invalid_range_raises_domain_error(self, psi_min, psi_max, message):
+        with pytest.raises(DomainError, match=message):
+            price_learning_mechanism([], 2, psi_min, psi_max, CoinTape(0))
+        with pytest.raises(DomainError, match=message):
+            _first_prices(Fraction(psi_min), Fraction(psi_max), 2, ODD, 2)
 
 
 class TestFinalMechanism:
@@ -588,8 +706,6 @@ class TestBidderUtility:
         assert bidder_utility(out, loser, additive((5,))) == 0
 
     def test_posted_price_winner(self):
-        from auctionlab.mechanism import MechanismOutcome
-
         alloc = Allocation({3: frozenset({0})}, {3: Fraction(1)})
         out = MechanismOutcome(
             allocation=alloc,

@@ -12,6 +12,7 @@ from auctionlab.errors import CapabilityError, InstanceShapeError
 from auctionlab.valuations import (
     ENUMERATION_CAP,
     KNAPSACK_CELL_CAP,
+    BudgetAdditiveValuation,
     XosValuation,
     _demand_knapsack,
     additive,
@@ -89,6 +90,25 @@ class TestIntegerGrid:
             for _ in range(6):
                 bundle = [j for j in range(m) if rng.random() < 0.5]
                 assert value_query(v, bundle) == fraction_value(v, bundle)
+
+    def test_grand_value_matches_fraction_sums(self):
+        rng = random.Random(2026)
+        binding = slack = 0
+        for _ in range(300):
+            m = rng.randint(0, 7)
+            v = random_fractional_valuation(rng, m)
+            everything = list(range(m))
+            expected = fraction_value(v, everything)
+            if isinstance(v, BudgetAdditiveValuation):
+                if sum(v.item_values) > v.budget:
+                    binding += 1
+                else:
+                    slack += 1
+            assert v.grand_value == expected
+            # Any spelling of the whole item set reads the one cached value.
+            assert value_query(v, everything) is v.grand_value
+            assert value_query(v, everything[::-1] + everything) is v.grand_value
+        assert binding > 30 and slack > 30
 
     def test_maximizing_clause_matches_fraction_sums(self):
         rng = random.Random(2025)
