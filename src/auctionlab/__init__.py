@@ -54,10 +54,7 @@ from .price_tree import (
 )
 from .trace import AnalysisTrace, build_trace, check_learnable_or_allocatable
 from .valuations import (
-    AdditiveClause,
-    BudgetAdditiveValuation,
     Valuation,
-    XosValuation,
     additive,
     budget_additive,
     demand_query,

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import IO, Union
 
 from .errors import InstanceShapeError
-from .valuations import Valuation, XosValuation, budget_additive, xos
+from .valuations import Valuation, budget_additive, xos
 from .rationals import format_rational
 
 
@@ -51,18 +52,13 @@ class Instance:
 
 def valuation_to_dict(v: Valuation) -> dict:
     """One bidder entry of the instance format."""
-    if isinstance(v, XosValuation):
-        return {
-            "kind": "xos",
-            "clauses": [
-                [format_rational(x) for x in clause.item_values]
-                for clause in v.clauses
-            ],
-        }
+    rows = [[format_rational(Fraction(x, v.scale)) for x in row] for row in v.rows]
+    if v.cap is None:
+        return {"kind": "xos", "clauses": rows}
     return {
         "kind": "budget_additive",
-        "values": [format_rational(x) for x in v.item_values],
-        "budget": format_rational(v.budget),
+        "values": rows[0],
+        "budget": format_rational(Fraction(v.cap, v.scale)),
     }
 
 
@@ -115,7 +111,9 @@ def instance_from_dict(data: dict) -> Instance:
                     f'bidder {i}: unknown kind {kind!r} '
                     '(expected "xos" or "budget_additive")'
                 )
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except KeyError as exc:
+            raise InstanceShapeError(f"bidder {i} is missing field {exc}") from None
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InstanceShapeError(f"bidder {i}: {exc}") from None
     return Instance(m, tuple(valuations))
 

@@ -33,7 +33,6 @@ from .auction import Allocation
 from .errors import CapabilityError, InvariantViolationError
 from .valuations import (
     Valuation,
-    XosValuation,
     bundle_value_table,
     max_subset_sums,
     supporting_prices,
@@ -118,7 +117,7 @@ def brute_force_opt(
     # smallest vector.
     prev = [0] * nmask
     for i, valuation in enumerate(valuations):
-        if isinstance(valuation, XosValuation):
+        if valuation.cap is None:
             factor = big * (scale // valuation.scale)
             tie = [(n - i) * d for d in place]
             prev = _xos_step(prev, valuation.rows, factor, tie, m)

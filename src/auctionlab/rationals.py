@@ -7,6 +7,7 @@ fallback for rationals that have no finite decimal expansion.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Union
@@ -26,6 +27,16 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction builds 10**exponent, as slow for a huge exponent as an int
+        # string of that many digits, which Python refuses past its limit.
+        _, e, exponent = value.lower().partition("e")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        try:
+            too_long = bool(e) and abs(int(exponent)) > limit
+        except ValueError:
+            too_long = False
+        if too_long:
+            raise ValueError(f"exponent of {value!r} lies outside -{limit}..{limit}")
         return Fraction(value)
     raise TypeError(f"expected int, str, or Fraction, got {type(value).__name__}")
 

@@ -1,13 +1,21 @@
-"""Valuation representations and the three query primitives.
+"""Valuation representation and the three query primitives.
 
-Two concrete valuation families are supported:
+One type, ``Valuation(scale, rows, cap)``, holds both supported families in
+one integer form. ``rows`` are additive rows of integers and ``scale`` is
+their least common denominator, so an entry ``x`` stands for ``x / scale``.
+A bundle's value is the largest row sum over it, capped at ``cap`` when there
+is one, turned into one ``Fraction`` at the end:
 
-* ``XosValuation`` -- an explicit list of additive clauses; the value of a
-  bundle is the maximum over clauses of the clause's item-value sum. This is
-  the universal representation the mechanism reasons about.
-* ``BudgetAdditiveValuation`` -- per-item values capped by a budget:
-  ``min(budget, sum of item values)``. Kept in this special form; queries are
-  answered directly rather than via an (exponential) clause expansion.
+* ``cap is None`` -- an XOS valuation: the rows are its additive clauses and
+  the value is the maximum over clauses. This is the universal representation
+  the mechanism reasons about.
+* a cap -- a budget-additive valuation: the item values as one row, capped by
+  the budget, ``min(budget, sum of item values)``. Kept in this special form;
+  queries are answered directly rather than via an (exponential) clause
+  expansion.
+
+``xos``, ``additive`` and ``budget_additive`` parse rationals once and scale
+them to the form; ``Fraction`` appears again only in query answers.
 
 Queries:
 
@@ -16,17 +24,12 @@ Queries:
   with a deterministic tie-break (fewest items, then lexicographically
   smallest index sequence).
 * ``supporting_prices(v, S)`` -- per-item prices that sum to
-  ``value_query(v, S)`` and under-estimate every sub-bundle: a maximizing
-  clause of S, or the item values scaled down to the budget.
+  ``value_query(v, S)`` and under-estimate every sub-bundle: the entries of a
+  maximizing row of S, scaled down to the cap when they sum past it.
 
-All arithmetic is exact. Both families share one integer form, worked out
-once per valuation: ``scale`` is the common denominator of every number it
-holds, ``rows`` are its additive rows times ``scale`` (the XOS clauses, or
-the budget-additive item values as one row), and ``cap`` is the budget times
-``scale``, or ``None`` for XOS. A bundle's value is the largest row sum over
-it, capped when there is a cap, turned into one ``Fraction`` at the end.
-The value of the whole item set, which every second-price auction asks
-for, is worked out once per valuation as ``grand_value``.
+All arithmetic is exact. The value of the whole item set, which every
+second-price auction asks for, is worked out once per valuation as
+``grand_value``.
 The demand backend enumerates the 2^m bundles on a grid shared with the
 prices, so comparisons are pure integer comparisons. Beyond
 ``ENUMERATION_CAP`` items only budget-additive valuations are served, by a
@@ -40,8 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence
 
 from .errors import CapabilityError, InstanceShapeError
 from .rationals import RationalLike, as_rational, common_scale, scaled_ints
@@ -55,127 +58,91 @@ KNAPSACK_CELL_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
-class AdditiveClause:
-    """One additive clause: a nonnegative value per item."""
+class Valuation:
+    """A bidder's valuation in integer form: v(S) is the largest sum of a row's
+    entries over S, capped at ``cap`` when there is one, divided by ``scale``.
 
-    item_values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        for v in self.item_values:
-            if v < 0:
-                raise InstanceShapeError(f"negative clause entry {v}")
-
-
-@dataclass(frozen=True)
-class XosValuation:
-    """Pointwise maximum of finitely many additive clauses.
-
-    Monotonicity and a zero value for the empty bundle are forced by the
-    representation (nonnegative entries, empty sums). Query cost is linear in
-    the clause count, which is unbounded by construction.
+    ``cap is None`` makes an XOS valuation, the pointwise maximum of the rows
+    (its additive clauses). A cap makes a budget-additive one, with its item
+    values as the one row and its budget as the cap. Monotonicity and a zero
+    value for the empty bundle are forced by the representation (nonnegative
+    entries, empty sums). ``scale`` must be the least that makes every number
+    an integer, so equal fields mean the same valuation.
     """
 
-    clauses: tuple[AdditiveClause, ...]
-    # No budget caps the row sums. A class attribute, not a field, so it is
-    # outside ==, hash, repr and the instance format.
-    cap = None
+    scale: int
+    rows: tuple[tuple[int, ...], ...]
+    cap: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.clauses:
+        if self.scale < 1:
+            raise InstanceShapeError(f"scale {self.scale} is not positive")
+        if self.cap is not None:
+            if self.cap < 0:
+                raise InstanceShapeError(
+                    f"negative budget {Fraction(self.cap, self.scale)}"
+                )
+            if len(self.rows) != 1:
+                raise InstanceShapeError(
+                    f"a budget-additive valuation has one row, got {len(self.rows)}"
+                )
+        entry = "negative clause entry" if self.cap is None else "negative item value"
+        for row in self.rows:
+            for x in row:
+                if x < 0:
+                    raise InstanceShapeError(f"{entry} {Fraction(x, self.scale)}")
+        if not self.rows:
             raise InstanceShapeError("an XOS valuation needs at least one clause")
-        m = len(self.clauses[0].item_values)
-        for c in self.clauses:
-            if len(c.item_values) != m:
+        m = len(self.rows[0])
+        for row in self.rows:
+            if len(row) != m:
                 raise InstanceShapeError("clauses disagree on item count")
+        if gcd(self.scale, *(x for row in self.rows for x in row), self.cap or 0) > 1:
+            raise InstanceShapeError(f"scale {self.scale} is not the least")
 
     @property
     def item_count(self) -> int:
-        return len(self.clauses[0].item_values)
-
-    @cached_property
-    def scale(self) -> int:
-        """Common denominator of every clause entry."""
-        return common_scale(v for c in self.clauses for v in c.item_values)
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each clause's entries times ``scale``."""
-        return tuple(
-            tuple(scaled_ints(c.item_values, self.scale)) for c in self.clauses
-        )
+        return len(self.rows[0])
 
     @cached_property
     def grand_value(self) -> Fraction:
-        """The value of all the items: the largest row sum."""
-        return Fraction(max(map(sum, self.rows)), self.scale)
+        """The value of all the items: the largest row sum, capped."""
+        total = max(map(sum, self.rows))
+        if self.cap is not None:
+            total = min(self.cap, total)
+        return Fraction(total, self.scale)
 
     def maximizing_clause(self, items: Iterable[int]) -> int:
-        """Index of a clause attaining the bundle's value (lowest index wins)."""
+        """Index of a row attaining the bundle's value (lowest index wins)."""
         bundle = tuple(items)
         totals = [sum(map(row.__getitem__, bundle)) for row in self.rows]
         return totals.index(max(totals))
 
 
-@dataclass(frozen=True)
-class BudgetAdditiveValuation:
-    """Additive values capped by a budget: v(S) = min(budget, sum over S)."""
-
-    item_values: tuple[Fraction, ...]
-    budget: Fraction
-
-    def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise InstanceShapeError(f"negative budget {self.budget}")
-        for v in self.item_values:
-            if v < 0:
-                raise InstanceShapeError(f"negative item value {v}")
-
-    @property
-    def item_count(self) -> int:
-        return len(self.item_values)
-
-    @cached_property
-    def scale(self) -> int:
-        """Common denominator of the item values and the budget."""
-        return common_scale([*self.item_values, self.budget])
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...]]:
-        """The item values times ``scale``, as the one row."""
-        return (tuple(scaled_ints(self.item_values, self.scale)),)
-
-    @cached_property
-    def cap(self) -> int:
-        """The budget times ``scale``."""
-        return self.budget.numerator * self.scale // self.budget.denominator
-
-    @cached_property
-    def grand_value(self) -> Fraction:
-        """The value of all the items: the row sum, capped."""
-        return Fraction(min(self.cap, sum(self.rows[0])), self.scale)
+def _scaled(*rows: Sequence[Fraction]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The least common denominator of the rows and the rows times it."""
+    scale = common_scale(x for row in rows for x in row)
+    return scale, tuple(tuple(scaled_ints(row, scale)) for row in rows)
 
 
-Valuation = Union[XosValuation, BudgetAdditiveValuation]
-
-
-def xos(*clauses: Iterable[RationalLike]) -> XosValuation:
+def xos(*clauses: Iterable[RationalLike]) -> Valuation:
     """Build an XOS valuation from rows of ints / decimal strings / Fractions."""
-    return XosValuation(
-        tuple(AdditiveClause(tuple(as_rational(v) for v in row)) for row in clauses)
-    )
+    return Valuation(*_scaled(*([as_rational(v) for v in row] for row in clauses)))
 
 
-def additive(values: Iterable[RationalLike]) -> XosValuation:
+def additive(values: Iterable[RationalLike]) -> Valuation:
     """Single-clause XOS valuation (a purely additive bidder)."""
     return xos(values)
 
 
 def budget_additive(
     values: Iterable[RationalLike], budget: RationalLike
-) -> BudgetAdditiveValuation:
-    return BudgetAdditiveValuation(
-        tuple(as_rational(v) for v in values), as_rational(budget)
-    )
+) -> Valuation:
+    """Additive values capped by a budget: v(S) = min(budget, sum over S)."""
+    values = [as_rational(v) for v in values]
+    budget = as_rational(budget)
+    scale, (row, (cap,)) = _scaled(values, [budget])
+    return Valuation(scale, (row,), cap)
 
 
 def _check_items(m: int, items: Iterable[int]) -> ItemSet:
@@ -229,7 +196,7 @@ def demand_query(
 
     if len(allowed_items) <= ENUMERATION_CAP:
         return _demand_enumerate(valuation, prices, allowed_items)
-    if isinstance(valuation, BudgetAdditiveValuation):
+    if valuation.cap is not None:
         return _demand_knapsack(valuation, prices, allowed_items)
     raise CapabilityError(
         f"{len(allowed_items)} items exceed the enumeration cap "
@@ -302,7 +269,7 @@ def _demand_enumerate(
 
 
 def _demand_knapsack(
-    valuation: BudgetAdditiveValuation,
+    valuation: Valuation,
     prices: tuple[Fraction, ...],
     allowed: tuple[int, ...],
 ) -> ItemSet:
@@ -369,19 +336,14 @@ def supporting_prices(
     """Per-item prices q with q(S) = v(S) and q(T) <= v(T) for every T inside
     S: the defining XOS property.
 
-    An XOS valuation gives the entries of a maximizing clause of S (lowest
-    clause index wins). A budget-additive one gives its item values when S
-    fits the budget, and otherwise those values scaled down in proportion
-    until they sum to the budget.
+    They are the entries of a maximizing row of S (lowest row index wins),
+    scaled down in proportion to sum to the cap when they sum past it.
     """
     bundle = _check_items(valuation.item_count, items)
-    if isinstance(valuation, XosValuation):
-        clause = valuation.clauses[valuation.maximizing_clause(bundle)]
-        return {j: clause.item_values[j] for j in bundle}
-    row = valuation.rows[0]
+    row = valuation.rows[valuation.maximizing_clause(bundle)]
     total = sum(row[j] for j in bundle)
-    if total <= valuation.cap:
-        return {j: valuation.item_values[j] for j in bundle}
+    if valuation.cap is None or total <= valuation.cap:
+        return {j: Fraction(row[j], valuation.scale) for j in bundle}
     return {
         j: Fraction(row[j] * valuation.cap, total * valuation.scale) for j in bundle
     }

@@ -127,6 +127,10 @@ def test_bad_params_is_usage_error(capsys):
         ),
         ({"kind": "xos", "clauses": [[True]]}, "got bool"),
         ({"kind": "budget_additive", "values": ["1"], "budget": False}, "got bool"),
+        ({"kind": "xos"}, "bidder 0 is missing field 'clauses'"),
+        ({"kind": "budget_additive", "budget": "5"}, "is missing field 'values'"),
+        ({"kind": "budget_additive", "values": ["1"]}, "is missing field 'budget'"),
+        ({"kind": "xos", "clauses": [["1e999999999"]]}, "exponent of '1e999999999'"),
     ],
     ids=[
         "float-entry",
@@ -137,6 +141,10 @@ def test_bad_params_is_usage_error(capsys):
         "string-values",
         "bool-entry",
         "bool-budget",
+        "missing-clauses",
+        "missing-values",
+        "missing-budget",
+        "huge-exponent-entry",
     ],
 )
 def test_malformed_instance_is_usage_error(tmp_path, capsys, bidder, message):
@@ -167,6 +175,13 @@ def test_non_rational_param_is_usage_error(capsys):
         main(["params", "--psi-min", "abc", "--psi-max", "5"])
     assert exc.value.code == 2
     assert "not a rational number: 'abc'" in capsys.readouterr().err
+
+
+def test_huge_exponent_param_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["params", "--psi-min", "1", "--psi-max", "1e99999999"])
+    assert exc.value.code == 2
+    assert "not a rational number: '1e99999999'" in capsys.readouterr().err
 
 
 def test_trace_without_seeds_is_usage_error(capsys, instance_file):
@@ -234,6 +249,7 @@ def test_truthtest_without_runs_is_usage_error(capsys, instance_file, flags, mes
         ({"value_range": ["1/0", "5"]}, '"value_range": Fraction(1, 0)'),
         ({"value_range": ["1", "1e400"]}, "value_range lies outside the float"),
         ({"value_range": ["1e-400", "1"]}, "value_range lies outside the float"),
+        ({"value_range": ["1", "1e99999999"]}, "exponent of '1e99999999' lies"),
         ({"value_range": [True, 5]}, '"value_range": expected int, str'),
         ({"value_range": ["1", "2", "3"]}, '"value_range" must hold two numbers, got 3'),
         ({"value_range": []}, '"value_range" must hold two numbers, got 0'),
@@ -254,6 +270,7 @@ def test_truthtest_without_runs_is_usage_error(capsys, instance_file, flags, mes
         "zero-denominator-value-range",
         "overflowing-value-range",
         "underflowing-value-range",
+        "huge-exponent-value-range",
         "bool-value-range",
         "triple-value-range",
         "empty-value-range",

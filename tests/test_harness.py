@@ -33,7 +33,7 @@ from auctionlab.instances import (
 )
 from auctionlab.mechanism import SECOND_PRICE, CoinTape, bidder_utility
 from auctionlab.rationals import format_rational
-from auctionlab.valuations import XosValuation, additive, budget_additive, xos
+from auctionlab.valuations import additive, budget_additive, xos
 
 
 def reference_log_uniform(rng, lo, hi):
@@ -100,6 +100,31 @@ class TestInstanceFiles:
         again = load_instance(buf)
         assert again == inst
 
+    def test_dict_round_trip_keeps_the_valuation(self):
+        rng = random.Random(8)
+
+        def entry():
+            return Fraction(rng.randint(0, 40), rng.choice([1, 2, 3, 4, 7, 100]))
+
+        instances = [
+            generate_instance(GeneratorSpec(3, 4, family=family, seed=seed))
+            for family in ("xos-random", "additive", "budget-additive")
+            for seed in range(5)
+        ]
+        for _ in range(30):
+            m = rng.randint(0, 5)
+            instances.append(
+                Instance(
+                    m,
+                    (
+                        xos(*[[entry() for _ in range(m)] for _ in range(3)]),
+                        budget_additive([entry() for _ in range(m)], entry()),
+                    ),
+                )
+            )
+        for inst in instances:
+            assert instance_from_dict(instance_to_dict(inst)) == inst
+
     def test_schema_shape(self):
         inst = Instance(1, (xos(("1",)),))
         data = instance_to_dict(inst)
@@ -130,31 +155,32 @@ class TestGenerator:
             3, 2, family="additive", value_range=(Fraction(5), Fraction(5)), seed=1
         )
         inst = generate_instance(spec)
-        for v in inst.valuations:
-            assert all(x == 5 for x in v.clauses[0].item_values)
+        for entry in instance_to_dict(inst)["bidders"]:
+            assert entry["clauses"] == [["5", "5"]]
 
     def test_clause_count_honored(self):
         spec = GeneratorSpec(4, 3, family="xos-random", clause_count=(3, 3), seed=2)
         inst = generate_instance(spec)
-        for v in inst.valuations:
-            assert isinstance(v, XosValuation)
-            assert len(v.clauses) == 3
+        for entry in instance_to_dict(inst)["bidders"]:
+            assert entry["kind"] == "xos"
+            assert len(entry["clauses"]) == 3
 
     def test_values_stay_in_range(self):
         spec = GeneratorSpec(
             5, 4, family="xos-random", value_range=(Fraction(1), Fraction(100)), seed=3
         )
         inst = generate_instance(spec)
-        for v in inst.valuations:
-            for clause in v.clauses:
-                for x in clause.item_values:
-                    assert 1 <= x <= 100
+        for entry in instance_to_dict(inst)["bidders"]:
+            for clause in entry["clauses"]:
+                for x in clause:
+                    assert 1 <= Fraction(x) <= 100
 
     def test_budget_additive_family(self):
         spec = GeneratorSpec(3, 3, family="budget-additive", seed=4)
         inst = generate_instance(spec)
-        for v in inst.valuations:
-            assert max(v.item_values) <= v.budget <= sum(v.item_values)
+        for entry in instance_to_dict(inst)["bidders"]:
+            values = [Fraction(x) for x in entry["values"]]
+            assert max(values) <= Fraction(entry["budget"]) <= sum(values)
 
     @pytest.mark.parametrize(
         "lo, hi",

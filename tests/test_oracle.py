@@ -10,9 +10,9 @@ import pytest
 from auctionlab.auction import Allocation
 from auctionlab.errors import CapabilityError, InvariantViolationError
 from auctionlab.harness import GeneratorSpec, generate_instance
+from auctionlab.instances import valuation_to_dict
 from auctionlab.oracle import OptimalSolution, brute_force_opt, welfare
 from auctionlab.valuations import (
-    XosValuation,
     additive,
     budget_additive,
     bundle_value_table,
@@ -39,22 +39,30 @@ def naive_opt(valuations, m):
     return best_welfare, best_assignment
 
 
-def reference_supporting_prices(valuation, bundle):
-    """Supporting prices as the oracle once worked them out, in ``Fraction``:
-    the entries of the first maximizing clause for XOS; for budget-additive,
-    the item values, scaled by budget / total when they exceed the budget."""
-    if isinstance(valuation, XosValuation):
-        totals = [
-            sum((c.item_values[j] for j in bundle), Fraction(0))
-            for c in valuation.clauses
-        ]
-        clause = valuation.clauses[totals.index(max(totals))]
-        return {j: clause.item_values[j] for j in bundle}
-    total = sum((valuation.item_values[j] for j in bundle), Fraction(0))
-    if total <= valuation.budget or total == 0:
-        return {j: valuation.item_values[j] for j in bundle}
-    ratio = valuation.budget / total
-    return {j: valuation.item_values[j] * ratio for j in bundle}
+def reference_supporting_prices(rows, budget, bundle):
+    """Supporting prices as the oracle once worked them out, in ``Fraction``,
+    from a valuation's inputs (``budget`` is None for XOS): the entries of the
+    first maximizing clause for XOS; for budget-additive, the item values,
+    scaled by budget / total when they exceed the budget."""
+    if budget is None:
+        totals = [sum((row[j] for j in bundle), Fraction(0)) for row in rows]
+        clause = rows[totals.index(max(totals))]
+        return {j: clause[j] for j in bundle}
+    (values,) = rows
+    total = sum((values[j] for j in bundle), Fraction(0))
+    if total <= budget or total == 0:
+        return {j: values[j] for j in bundle}
+    ratio = budget / total
+    return {j: values[j] * ratio for j in bundle}
+
+
+def fraction_inputs(valuation):
+    """A valuation's rows and budget (None for XOS) as ``Fraction``s, read
+    from its instance-file entry."""
+    entry = valuation_to_dict(valuation)
+    if entry["kind"] == "xos":
+        return [[Fraction(x) for x in row] for row in entry["clauses"]], None
+    return [[Fraction(x) for x in entry["values"]]], Fraction(entry["budget"])
 
 
 def reference_subset_split_opt(valuations, m):
@@ -103,7 +111,8 @@ def reference_subset_split_opt(valuations, m):
     prices = [Fraction(0)] * m
     for i, bundle in bundles.items():
         if bundle:
-            for j, q in reference_supporting_prices(valuations[i], bundle).items():
+            rows, budget = fraction_inputs(valuations[i])
+            for j, q in reference_supporting_prices(rows, budget, bundle).items():
                 prices[j] = q
     return OptimalSolution(
         Allocation(bundles, {}),
@@ -223,17 +232,19 @@ def test_supporting_prices_match_fraction_reference():
         m = rng.randint(0, 6)
         if rng.random() < 0.5:
             rows = [[entry() for _ in range(m)] for _ in range(rng.randint(1, 3))]
+            budget = None
             v = xos(*rows)
         else:
             values = [entry() for _ in range(m)]
             budget = sum(values, Fraction(0)) * Fraction(rng.randint(0, 5), 4)
+            rows = [values]
             v = budget_additive(values, budget)
         bundle = frozenset(j for j in range(m) if rng.random() < 0.6)
         prices = supporting_prices(v, bundle)
-        assert prices == reference_supporting_prices(v, bundle)
-        binding += not isinstance(v, XosValuation) and value_query(
-            v, bundle
-        ) < sum((v.item_values[j] for j in bundle), Fraction(0))
+        assert prices == reference_supporting_prices(rows, budget, bundle)
+        binding += budget is not None and budget < sum(
+            (values[j] for j in bundle), Fraction(0)
+        )
     assert binding > 50
 
 

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,7 @@ from auctionlab.errors import CapabilityError, InstanceShapeError
 from auctionlab.valuations import (
     ENUMERATION_CAP,
     KNAPSACK_CELL_CAP,
-    BudgetAdditiveValuation,
-    XosValuation,
+    Valuation,
     _demand_knapsack,
     additive,
     budget_additive,
@@ -39,18 +39,24 @@ def enumerate_best_profit(valuation, prices, items):
     return best
 
 
-def fraction_value(valuation, items):
-    """Reference v(S): the definition summed in ``Fraction``."""
-    if isinstance(valuation, XosValuation):
-        return max(fraction_clause_totals(valuation, items))
-    total = sum((valuation.item_values[j] for j in items), Fraction(0))
-    return min(valuation.budget, total)
+def fraction_value(rows, budget, items):
+    """Reference v(S): the definition summed in ``Fraction`` over the rows and
+    budget (None for XOS) a valuation was built from."""
+    best = max(fraction_clause_totals(rows, items))
+    return best if budget is None else min(budget, best)
 
 
-def fraction_clause_totals(valuation, items):
-    return [
-        sum((c.item_values[j] for j in items), Fraction(0)) for c in valuation.clauses
-    ]
+def fraction_clause_totals(rows, items):
+    return [sum((row[j] for j in items), Fraction(0)) for row in rows]
+
+
+def reference_form(rows, budget):
+    """The integer form worked out from ``Fraction`` inputs: the least common
+    denominator, the rows times it and the budget times it."""
+    numbers = [x for row in rows for x in row] + ([] if budget is None else [budget])
+    scale = lcm(1, *(x.denominator for x in numbers))
+    scaled = tuple(tuple(int(x * scale) for x in row) for row in rows)
+    return scale, scaled, None if budget is None else int(budget * scale)
 
 
 def fused_max_subset_sums(rows, size):
@@ -69,13 +75,19 @@ def fused_max_subset_sums(rows, size):
     return best
 
 
-def random_fractional_valuation(rng, m):
+def random_fractional_inputs(rng, m):
+    """Rows and a budget (None for XOS) with denominators from {1, 2, 3, 4, 7,
+    100}, and the valuation built from them."""
+
     def entry():
         return Fraction(rng.randint(0, 40), rng.choice([1, 2, 3, 4, 7, 100]))
 
     if rng.random() < 0.5:
-        return xos(*[[entry() for _ in range(m)] for _ in range(rng.randint(1, 4))])
-    return budget_additive([entry() for _ in range(m)], entry())
+        rows = [[entry() for _ in range(m)] for _ in range(rng.randint(1, 4))]
+        return rows, None, xos(*rows)
+    values = [entry() for _ in range(m)]
+    budget = entry()
+    return [values], budget, budget_additive(values, budget)
 
 
 class TestIntegerGrid:
@@ -86,21 +98,21 @@ class TestIntegerGrid:
         rng = random.Random(2024)
         for _ in range(80):
             m = rng.randint(0, 7)
-            v = random_fractional_valuation(rng, m)
+            rows, budget, v = random_fractional_inputs(rng, m)
             for _ in range(6):
                 bundle = [j for j in range(m) if rng.random() < 0.5]
-                assert value_query(v, bundle) == fraction_value(v, bundle)
+                assert value_query(v, bundle) == fraction_value(rows, budget, bundle)
 
     def test_grand_value_matches_fraction_sums(self):
         rng = random.Random(2026)
         binding = slack = 0
         for _ in range(300):
             m = rng.randint(0, 7)
-            v = random_fractional_valuation(rng, m)
+            rows, budget, v = random_fractional_inputs(rng, m)
             everything = list(range(m))
-            expected = fraction_value(v, everything)
-            if isinstance(v, BudgetAdditiveValuation):
-                if sum(v.item_values) > v.budget:
+            expected = fraction_value(rows, budget, everything)
+            if budget is not None:
+                if sum(rows[0]) > budget:
                     binding += 1
                 else:
                     slack += 1
@@ -119,9 +131,10 @@ class TestIntegerGrid:
 
         for _ in range(80):
             m = rng.randint(0, 6)
-            v = xos(*[[entry() for _ in range(m)] for _ in range(rng.randint(1, 4))])
+            rows = [[entry() for _ in range(m)] for _ in range(rng.randint(1, 4))]
+            v = xos(*rows)
             bundle = [j for j in range(m) if rng.random() < 0.6]
-            totals = fraction_clause_totals(v, bundle)
+            totals = fraction_clause_totals(rows, bundle)
             assert v.maximizing_clause(bundle) == totals.index(max(totals))
 
     def test_grid_fields(self):
@@ -139,9 +152,62 @@ class TestIntegerGrid:
             text = repr(cold)
             value_query(warm, {0, 1})
             demand_query(warm, (Fraction(1), Fraction(1)))
-            assert "scale" in vars(warm) and "scale" not in vars(cold)
+            assert "grand_value" in vars(warm) and "grand_value" not in vars(cold)
             assert warm == cold and hash(warm) == hash(cold)
             assert repr(warm) == text
+
+
+class TestOneForm:
+    """The constructors' integer form against one worked out from their
+    ``Fraction`` inputs, and the checks on a directly built form."""
+
+    def test_constructors_match_fraction_reference(self):
+        rng = random.Random(2027)
+        binding = slack = zeros = 0
+        for _ in range(300):
+            m = rng.randint(0, 6)
+            rows, budget, v = random_fractional_inputs(rng, m)
+            if rng.random() < 0.2:
+                rows = [[Fraction(0)] * m for _ in rows]
+                v = xos(*rows) if budget is None else budget_additive(rows[0], budget)
+            assert (v.scale, v.rows, v.cap) == reference_form(rows, budget)
+            if budget is None and len(rows) == 1:
+                a = additive(rows[0])
+                assert (a.scale, a.rows, a.cap) == reference_form(rows, None)
+            if budget is not None:
+                binding += sum(rows[0]) > budget
+                slack += sum(rows[0]) <= budget
+            zeros += any(x == 0 for row in rows for x in row)
+        assert binding > 30 and slack > 30 and zeros > 50
+
+    @pytest.mark.parametrize(
+        "scale, rows, cap, message",
+        [
+            (0, ((1, 2),), None, "scale 0 is not positive"),
+            (2, ((2, 4),), None, "scale 2 is not the least"),
+            (6, ((2, 4),), 8, "scale 6 is not the least"),
+            (1, (), None, "an XOS valuation needs at least one clause"),
+            (1, ((1, 2), (1,)), None, "clauses disagree on item count"),
+            (2, ((1, -2),), None, "negative clause entry -1"),
+            (2, ((1, -2),), 4, "negative item value -1"),
+            (2, ((1, 2),), -1, "negative budget -1/2"),
+            (1, ((1,), (2,)), 3, "a budget-additive valuation has one row, got 2"),
+        ],
+        ids=[
+            "zero-scale",
+            "xos-scale-not-least",
+            "capped-scale-not-least",
+            "no-rows",
+            "ragged-rows",
+            "negative-entry",
+            "negative-item-value",
+            "negative-cap",
+            "capped-rows",
+        ],
+    )
+    def test_direct_construction_checks(self, scale, rows, cap, message):
+        with pytest.raises(InstanceShapeError, match=message):
+            Valuation(scale, rows, cap)
 
 
 class TestSubsetSumKernel:
