@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, InstanceShapeError, InvariantViolationError
@@ -119,10 +121,8 @@ def second_price_grand_bundle(
         values.append(value_query(valuation, grand))
         if query_log is not None:
             query_log.value[bidder_id] += 1
-    winner_pos = max(range(len(bidders)), key=lambda i: (values[i], -i))
-    price = Fraction(0)
-    if len(bidders) > 1:
-        price = max(v for i, v in enumerate(values) if i != winner_pos)
+    winner_pos = values.index(max(values))
+    price = max(values[:winner_pos] + values[winner_pos + 1 :], default=Fraction(0))
     winner_id = bidders[winner_pos][0]
     return Allocation({winner_id: grand}, {winner_id: price})
 
@@ -146,27 +146,35 @@ def greedy_marginal_value(
     exactly by cross-multiplying with the grids' scales. Every
     (item, bidder) pair counts as one value query.
     """
+    order = sorted(set(items))
+    if bidders and order:
+        counts = [v.item_count for _, v in bidders]
+        fewest = min(counts)
+        if order[0] < 0 or order[-1] >= fewest:
+            # The first offending (item, bidder) pair, items first.
+            j = next(j for j in order if not 0 <= j < fewest)
+            count = next(c for c in counts if not 0 <= j < c)
+            raise InstanceShapeError(f"item {j} outside 0..{count - 1}")
+        if query_log is not None:
+            for bidder_id, _ in bidders:
+                query_log.value[bidder_id] += len(order)
+    # Per bidder: its cap and scale, its entries item by item, and its sums.
+    grids = [(v.cap, v.scale) for _, v in bidders]
+    columns = [list(zip(*v.rows)) for _, v in bidders]
     sums = [[0] * len(v.rows) for _, v in bidders]
     current = [0] * len(bidders)
-    for j in sorted(set(items)):
+    for j in order:
         best_gain, best_scale, best = 0, 1, None
-        for k, (bidder_id, valuation) in enumerate(bidders):
-            if not 0 <= j < valuation.item_count:
-                raise InstanceShapeError(
-                    f"item {j} outside 0..{valuation.item_count - 1}"
-                )
-            value = max(s + row[j] for s, row in zip(sums[k], valuation.rows))
-            cap = valuation.cap
+        for k, (cap, scale) in enumerate(grids):
+            value = max(map(add, sums[k], columns[k][j]))
             gain = (value if cap is None else min(cap, value)) - current[k]
-            if query_log is not None:
-                query_log.value[bidder_id] += 1
             # gain / scale > best_gain / best_scale, with positive scales.
-            if gain * best_scale > best_gain * valuation.scale:
-                best_gain, best_scale, best = gain, valuation.scale, k
+            if gain * best_scale > best_gain * scale:
+                best_gain, best_scale, best = gain, scale, k
         if best is not None:
-            rows = bidders[best][1].rows
-            sums[best] = [s + row[j] for s, row in zip(sums[best], rows)]
+            sums[best] = list(map(add, sums[best], columns[best][j]))
             current[best] += best_gain
-    return sum(
-        (Fraction(c, v.scale) for c, (_, v) in zip(current, bidders)), Fraction(0)
+    grid = lcm(*(scale for _, scale in grids))
+    return Fraction(
+        sum(c * (grid // scale) for c, (_, scale) in zip(current, grids)), grid
     )

@@ -53,8 +53,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _rational_arg(text: str) -> Fraction:
     try:
         return as_rational(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"not a rational number: {text!r}: {exc}"
+        ) from None
 
 
 def _cmd_params(args: argparse.Namespace) -> int:

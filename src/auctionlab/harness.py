@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, DomainError, InvariantViolationError
 from .instances import Instance, instance_to_dict, valuation_to_dict
@@ -26,7 +26,7 @@ from .mechanism import (
 )
 from .oracle import brute_force_opt
 from .rationals import as_rational, format_rational
-from .valuations import Valuation, budget_additive, xos
+from .valuations import Valuation
 
 FAMILIES = ("xos-random", "additive", "budget-additive")
 
@@ -123,58 +123,84 @@ class GeneratorSpec:
             raise ConfigError(f"bad generator spec: {exc}") from None
 
 
-# One random draw of an exact value.
-Draw = Callable[[random.Random], Fraction]
+class _CentsDraw(NamedTuple):
+    """Random exact values as numerators over a fixed ``grid``: a draw ``x``
+    stands for ``x / grid``."""
+
+    grid: int
+    draw: Callable[[random.Random], int]
 
 
-def _log_uniform_cents(lo: Fraction, hi: Fraction) -> Draw:
+def _log_uniform_cents(lo: Fraction, hi: Fraction) -> _CentsDraw:
     """Log-uniform draws from [lo, hi], quantized to cents, exactly in range.
 
-    The logs of the bounds and the cents grid points inside [lo, hi] are
-    worked out once per bound pair; each draw takes one ``rng.uniform`` and
-    clamps the rounded cents as integers. A draw below the first grid point
-    gives ``lo`` and one above the last gives ``hi``, so off-grid bounds are
-    returned as they are. With ``lo == hi`` a draw returns ``lo`` and takes
-    nothing from ``rng``.
+    The grid is ``lcm(100, lo's and hi's denominators)``, so cents and both
+    bounds are whole numbers on it. The logs of the bounds and the cents
+    grid points inside [lo, hi] are worked out once per bound pair; each
+    draw takes one ``rng.uniform`` and clamps the rounded cents as integers.
+    A draw below the first cent inside the range gives ``lo`` and one above
+    the last gives ``hi``, so off-grid bounds are returned as they are. With
+    ``lo == hi`` a draw returns ``lo`` and takes nothing from ``rng``.
     """
+    grid = math.lcm(100, lo.denominator, hi.denominator)
+    low = lo.numerator * (grid // lo.denominator)
+    high = hi.numerator * (grid // hi.denominator)
     if lo == hi:
-        return lambda rng: lo
+        return _CentsDraw(grid, lambda rng: low)
     log_lo, log_hi = math.log(float(lo)), math.log(float(hi))
     first, last = math.ceil(100 * lo), math.floor(100 * hi)
+    cent = grid // 100
 
-    def draw(rng: random.Random) -> Fraction:
+    def draw(rng: random.Random) -> int:
         cents = round(math.exp(rng.uniform(log_lo, log_hi)) * 100)
         if cents < first:
-            return lo
+            return low
         if cents > last:
-            return hi
-        return Fraction(cents, 100)
+            return high
+        return cents * cent
 
-    return draw
+    return _CentsDraw(grid, draw)
+
+
+def _on_grid(
+    grid: int, rows: Sequence[Sequence[int]], cap: Optional[int] = None
+) -> Valuation:
+    """The valuation whose numbers are ``rows`` and ``cap`` over ``grid``,
+    reduced to its least scale by one gcd."""
+    g = math.gcd(grid, *(x for row in rows for x in row), cap or 0)
+    if g > 1:
+        rows = [[x // g for x in row] for row in rows]
+        cap = None if cap is None else cap // g
+    return Valuation(grid // g, tuple(map(tuple, rows)), cap)
 
 
 def generate_instance(spec: GeneratorSpec) -> Instance:
     rng = random.Random(spec.seed)
     lo, hi = spec.value_range
     m = spec.item_count
-    draw = _log_uniform_cents(lo, hi)
+    grid, draw = _log_uniform_cents(lo, hi)
 
-    def draw_row() -> list[Fraction]:
+    def draw_row() -> list[int]:
         return [draw(rng) for _ in range(m)]
 
     valuations: list[Valuation] = []
     for _ in range(spec.bidder_count):
         if spec.family == "additive":
-            valuations.append(xos(draw_row()))
+            valuations.append(_on_grid(grid, [draw_row()]))
         elif spec.family == "xos-random":
             clauses = rng.randint(*spec.clause_count)
-            valuations.append(xos(*[draw_row() for _ in range(clauses)]))
+            valuations.append(_on_grid(grid, [draw_row() for _ in range(clauses)]))
         else:
             values = draw_row()
-            top = max(values, default=Fraction(0))
-            total = sum(values, Fraction(0))
-            budget = _log_uniform_cents(top, total)(rng) if total > 0 else Fraction(0)
-            valuations.append(budget_additive(values, budget))
+            total = sum(values)
+            budget = 0
+            if total > 0:
+                # The budget's grid divides the values' grid.
+                sub, budget_draw = _log_uniform_cents(
+                    Fraction(max(values), grid), Fraction(total, grid)
+                )
+                budget = budget_draw(rng) * (grid // sub)
+            valuations.append(_on_grid(grid, [values], budget))
     return Instance(m, tuple(valuations))
 
 
@@ -327,18 +353,25 @@ class TruthfulnessReport:
         return not self.violations and not self.query_budget_violations
 
 
-def _deviation(rng: random.Random, m: int, entry: Draw, budget: Draw) -> Valuation:
+def _deviation(
+    rng: random.Random, m: int, entry: _CentsDraw, budget: _CentsDraw
+) -> Valuation:
     """A random lie: a worthless report, an XOS report of 1-3 clauses, or a
     budget-additive report, with entries and budget drawn by ``entry`` and
     ``budget``."""
     kind = rng.random()
     if kind < 0.15:
-        return xos([0] * m)  # hide entirely
+        return Valuation(1, ((0,) * m,))  # hide entirely
+    draw = entry.draw
     if kind < 0.55:
-        rows = [[entry(rng) for _ in range(m)] for _ in range(rng.randint(1, 3))]
-        return xos(*rows)
-    values = [entry(rng) for _ in range(m)]
-    return budget_additive(values, budget(rng))
+        rows = [[draw(rng) for _ in range(m)] for _ in range(rng.randint(1, 3))]
+        return _on_grid(entry.grid, rows)
+    values = [draw(rng) for _ in range(m)]
+    cap = budget.draw(rng)
+    grid = math.lcm(entry.grid, budget.grid)
+    if grid != entry.grid:
+        values = [x * (grid // entry.grid) for x in values]
+    return _on_grid(grid, [values], cap * (grid // budget.grid))
 
 
 def _query_budget_check(outcome: MechanismOutcome, seed: int) -> list[dict]:
@@ -391,8 +424,8 @@ def truthfulness_report(
     bidders = instance.bidders()
     m = instance.item_count
     lo, hi = value_range
-    entry_draw = _log_uniform_cents(lo / 2, hi * 2)
-    budget_draw = _log_uniform_cents(lo / 2, hi * m)
+    entry = _log_uniform_cents(lo / 2, hi * 2)
+    budget = _log_uniform_cents(lo / 2, hi * m)
     violations: list[dict] = []
     budget_violations: list[dict] = []
     runs = 0
@@ -410,7 +443,7 @@ def truthfulness_report(
         }
         for b, truth in bidders:
             for _ in range(deviations):
-                lie = _deviation(rng, m, entry_draw, budget_draw)
+                lie = _deviation(rng, m, entry, budget)
                 twisted = list(bidders)
                 twisted[b] = (b, lie)
                 outcome = final_mechanism(twisted, m, tape.replay())

@@ -23,7 +23,7 @@ but were not selected allocate nothing and charge nothing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -303,7 +303,10 @@ def _first_prices(
     it. The cache is small because a sweep revisits only a few ranges."""
     check_range(psi_min, psi_max)
     unit = _unit_tree(psi_max / psi_min, alpha, parity)
-    params = replace(unit.params, psi_min=psi_min, psi_max=psi_max)
+    unit_params = unit.params
+    params = Params(
+        unit_params.alpha, unit_params.beta, unit_params.gamma, psi_min, psi_max
+    )
     children = [psi_min * child.price for child in unit.root.children]
     return (
         params,
@@ -328,9 +331,29 @@ def price_learning_mechanism(
     demand-queried at most alpha times: alpha times if its group's iteration
     was reached, once for the final group, never otherwise.
     """
+    # Fixed-price auctions ask demand queries and never value queries.
+    return MechanismOutcome(
+        value_queries={},
+        bidders=tuple(bidders),
+        **_learning_run(
+            bidders, m, as_rational(psi_min), as_rational(psi_max), tape, alpha
+        ),
+    )
+
+
+def _learning_run(
+    bidders: Sequence[Bidder],
+    m: int,
+    psi_min: Fraction,
+    psi_max: Fraction,
+    tape: CoinTape,
+    alpha: int,
+) -> dict:
+    """The learning mechanism's run, as the ``MechanismOutcome`` fields it
+    decides; the caller adds the bidders and value queries."""
     parity = tape.tree_parity()
     params, prices, vectors, halves = _first_prices(
-        as_rational(psi_min), as_rational(psi_max), alpha, parity, m
+        psi_min, psi_max, alpha, parity, m
     )
     ids = [b for b, _ in bidders]
     by_id = dict(bidders)
@@ -371,12 +394,10 @@ def price_learning_mechanism(
             final_group, items, _halve(prices), query_log=log
         )
 
-    return MechanismOutcome(
+    return dict(
         allocation=selected,
         welfare=welfare(selected, by_id),
         branch=branch,
-        value_queries=dict(log.value),
-        bidders=tuple(bidders),
         stop_iteration=stop_iteration,
         j_star=j_star,
         demand_queries=dict(log.demand),
@@ -436,15 +457,14 @@ def final_mechanism(
     else:
         psi_min = psi_max = Fraction(1)
 
-    # The inner mechanism only runs fixed-price auctions, which ask demand
-    # queries and never value queries, so the statistic's are all there are.
-    inner = price_learning_mechanism(mech, m, psi_min, psi_max, tape, alpha=alpha)
-    return replace(
-        inner,
+    # The inner mechanism asks no value queries, so the statistic's are all
+    # there are.
+    return MechanismOutcome(
         value_queries=dict(log.value),
         bidders=tuple(bidders),
         statistics_group=tuple(b for b, _ in stat),
         statistics_welfare=stat_welfare,
+        **_learning_run(mech, m, psi_min, psi_max, tape, alpha),
     )
 
 

@@ -1,6 +1,7 @@
 """Posted-price, second-price, and greedy primitives."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,18 @@ class TestSecondPriceGrandBundle:
         alloc = second_price_grand_bundle(bidders, {0})
         assert alloc.bundle(0) == {0}
         assert alloc.payment(0) == 7
+        # Equal grand values from different families and grids: the lowest
+        # tied index wins and pays the tied value.
+        bidders = [
+            (5, additive((1, 2))),
+            (2, budget_additive(("5", "5"), "7.5")),
+            (8, xos(("7.5", 0), (1, "6.5"))),
+            (3, additive(("7/3", "5"))),
+        ]
+        log = QueryLog()
+        alloc = second_price_grand_bundle(bidders, {0, 1}, query_log=log)
+        assert alloc == Allocation({2: frozenset({0, 1})}, {2: Fraction(15, 2)})
+        assert list(log.value.items()) == [(5, 1), (2, 1), (8, 1), (3, 1)]
 
     def test_no_bidders_rejected(self):
         with pytest.raises(DomainError):
@@ -208,6 +221,26 @@ class TestGreedyMarginalValue:
     def test_item_outside_range_rejected(self):
         with pytest.raises(InstanceShapeError, match="item 2 outside 0..1"):
             greedy_marginal_value([(0, additive((3, 4)))], {0, 2})
+        # Bidders with unequal item counts: the message names the first
+        # offending (item, bidder) pair, items in increasing order, then
+        # bidders in list order, and no value query is counted.
+        bidders = [
+            (0, additive((1, 2, 3, 4, 5))),
+            (1, xos((1, 2, 3), (3, 2, 1))),
+            (2, budget_additive((7,), 3)),
+        ]
+        for items, message in [
+            # Item 1 is the first item some bidder lacks; bidder 2 lacks it.
+            ({0, 1, 2}, "item 1 outside 0..0"),
+            # Item 3: bidder 0 has it; bidders 1 and 2 lack it, 1 comes first.
+            ({4, 3}, "item 3 outside 0..2"),
+            # A negative item comes first and every bidder lacks it.
+            ({0, -1, 9}, "item -1 outside 0..4"),
+        ]:
+            log = QueryLog()
+            with pytest.raises(InstanceShapeError, match=f"^{re.escape(message)}$"):
+                greedy_marginal_value(bidders, items, query_log=log)
+            assert not log.value
 
     def test_half_of_optimum_on_submodular_inputs(self):
         rng = random.Random(34)

@@ -174,14 +174,18 @@ def test_non_rational_param_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["params", "--psi-min", "abc", "--psi-max", "5"])
     assert exc.value.code == 2
-    assert "not a rational number: 'abc'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not a rational number: 'abc'" in err
+    assert "Invalid literal for Fraction: 'abc'" in err
 
 
 def test_huge_exponent_param_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["params", "--psi-min", "1", "--psi-max", "1e99999999"])
     assert exc.value.code == 2
-    assert "not a rational number: '1e99999999'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not a rational number: '1e99999999'" in err
+    assert "exponent of '1e99999999' lies outside -" in err
 
 
 def test_trace_without_seeds_is_usage_error(capsys, instance_file):

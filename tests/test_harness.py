@@ -2,11 +2,13 @@
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,6 +45,59 @@ def reference_log_uniform(rng, lo, hi):
     x = math.exp(rng.uniform(math.log(float(lo)), math.log(float(hi))))
     quantized = Fraction(round(x * 100), 100)
     return min(max(quantized, lo), hi)
+
+
+def reference_generate_instance(spec, rng):
+    """The generator drawing each entry and budget with
+    ``reference_log_uniform`` and building valuations from Fractions: the
+    reference for the integer draws."""
+    lo, hi = spec.value_range
+    m = spec.item_count
+
+    def row():
+        return [reference_log_uniform(rng, lo, hi) for _ in range(m)]
+
+    valuations = []
+    for _ in range(spec.bidder_count):
+        if spec.family == "additive":
+            valuations.append(xos(row()))
+        elif spec.family == "xos-random":
+            clauses = rng.randint(*spec.clause_count)
+            valuations.append(xos(*[row() for _ in range(clauses)]))
+        else:
+            values = row()
+            top = max(values, default=Fraction(0))
+            total = sum(values, Fraction(0))
+            budget = reference_log_uniform(rng, top, total) if total > 0 else 0
+            valuations.append(budget_additive(values, budget))
+    return Instance(m, tuple(valuations))
+
+
+# Value ranges on and off the cents grid, below one cent, and of one point.
+DRAW_RANGES = [
+    (Fraction(1), Fraction(100)),
+    (Fraction(1, 3), Fraction(2001, 7)),
+    (Fraction(1, 1000), Fraction(2, 1000)),
+    (Fraction(5), Fraction(5)),
+    (Fraction(1, 3), Fraction(1, 3)),
+]
+
+
+# sha256 of 2,000 lies per item count m, drawn from random.Random(m) with the
+# truthfulness sweep's default draws, as one instance file in compact,
+# key-sorted JSON.
+LIE_DIGESTS = {
+    1: "e8336c705f89e176f370148ee45249d5da54fe40b5c93957828c67ddaa8bf244",
+    2: "01acaab96f7c3d38be5c50776c0f01b2abc4eb170a09001a1f29ea58a72975a8",
+    3: "f6a98013a727b336a4249cedbf1710c2bcd6455701e8f41961d231dc6ecfa308",
+    4: "d0172e7cc992560ec03df2518652416c33c53b26e75b82ff04d618b29fe5d73e",
+    5: "95eb65bb3b47d6e20163cd26451e06a9ae6a0ca86d1807e0d3c5a2a57b3c851b",
+    6: "3789d32ad6a45b5a64ff3c9b88cf53793e8c2db2281b481202e19bb3071e7727",
+}
+
+
+def integer_form(valuation):
+    return valuation.scale, valuation.rows, valuation.cap
 
 
 def reference_deviation(rng, m, lo, hi):
@@ -198,9 +253,10 @@ class TestGenerator:
     )
     def test_cents_draw_matches_reference(self, lo, hi):
         fast, slow = random.Random(77), random.Random(77)
-        draw = _log_uniform_cents(lo, hi)
+        grid, draw = _log_uniform_cents(lo, hi)
+        assert grid % 100 == 0
         for _ in range(3000):
-            assert draw(fast) == reference_log_uniform(slow, lo, hi)
+            assert Fraction(draw(fast), grid) == reference_log_uniform(slow, lo, hi)
         assert fast.getstate() == slow.getstate()
 
     def test_bad_specs_rejected(self):
@@ -317,13 +373,63 @@ class TestTruthfulnessReport:
             assert format_rational(gain) == violation["gain"]
 
     def test_deviations_match_reference(self):
-        for m in range(1, 7):
-            lo, hi = Fraction(1), Fraction(100)
+        for (lo, hi), m in itertools.product(DRAW_RANGES, range(1, 7)):
             fast, slow = random.Random(m), random.Random(m)
             entry = _log_uniform_cents(lo / 2, hi * 2)
             budget = _log_uniform_cents(lo / 2, hi * m)
             for _ in range(300):
-                assert _deviation(fast, m, entry, budget) == reference_deviation(
-                    slow, m, lo, hi
-                )
+                lie = _deviation(fast, m, entry, budget)
+                assert integer_form(lie) == integer_form(
+                    reference_deviation(slow, m, lo, hi)
+                ), (lo, hi, m)
             assert fast.getstate() == slow.getstate()
+
+    def test_lie_bytes_are_pinned(self):
+        """2,000 lies per item count, written in the instance format, hash to
+        fixed digests, so the draws agree on every supported Python."""
+        digests = {}
+        for m in range(1, 7):
+            rng = random.Random(m)
+            entry = _log_uniform_cents(Fraction(1, 2), Fraction(200))
+            budget = _log_uniform_cents(Fraction(1, 2), Fraction(100 * m))
+            lies = [_deviation(rng, m, entry, budget) for _ in range(2000)]
+            text = json.dumps(
+                instance_to_dict(Instance(m, tuple(lies))),
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            digests[m] = hashlib.sha256(text.encode()).hexdigest()
+        assert digests == LIE_DIGESTS
+
+
+class TestIntegerDraws:
+    @pytest.mark.parametrize("family", harness.FAMILIES)
+    @pytest.mark.parametrize("lo, hi", DRAW_RANGES)
+    def test_generator_matches_reference(self, monkeypatch, family, lo, hi):
+        """Every valuation the generator draws on its integer grid equals the
+        Fraction reference's, and both leave the generator's PRNG alike."""
+        made = []
+
+        def recording_random(seed):
+            made.append(random.Random(seed))
+            return made[-1]
+
+        monkeypatch.setattr(
+            harness, "random", SimpleNamespace(Random=recording_random)
+        )
+        for seed in range(12):
+            spec = GeneratorSpec(
+                seed % 5,
+                seed % 7,
+                family,
+                clause_count=(1, 3),
+                value_range=(lo, hi),
+                seed=seed,
+            )
+            fast = generate_instance(spec)
+            slow_rng = random.Random(seed)
+            slow = reference_generate_instance(spec, slow_rng)
+            assert list(map(integer_form, fast.valuations)) == list(
+                map(integer_form, slow.valuations)
+            )
+            assert made.pop().getstate() == slow_rng.getstate()

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,9 @@ import auctionlab
 from auctionlab import harness
 from auctionlab.auction import (
     Allocation,
+    QueryLog,
     fixed_price_auction,
+    greedy_marginal_value,
     second_price_grand_bundle,
 )
 from auctionlab.errors import DomainError, InvariantViolationError
@@ -581,6 +584,39 @@ class TestPricesByShape:
             _first_prices(Fraction(psi_min), Fraction(psi_max), 2, ODD, 2)
 
 
+def reference_final_mechanism(bidders, m, tape, alpha=2):
+    """The top-level mechanism as it was built from the learning run's
+    outcome through ``dataclasses.replace``: the reference for the outcome
+    built once."""
+    if tape.second_price_branch():
+        log = QueryLog()
+        allocation = second_price_grand_bundle(bidders, range(m), query_log=log)
+        return MechanismOutcome(
+            allocation=allocation,
+            welfare=welfare(allocation, dict(bidders)),
+            branch=SECOND_PRICE,
+            value_queries=dict(log.value),
+            bidders=tuple(bidders),
+        )
+    flags = tape.sample_statistics_group(len(bidders))
+    stat = [b for b, f in zip(bidders, flags) if f]
+    mech = [b for b, f in zip(bidders, flags) if not f]
+    log = QueryLog()
+    stat_welfare = greedy_marginal_value(stat, range(m), query_log=log)
+    if stat_welfare > 0:
+        psi_min, psi_max = stat_welfare / (m * m), 8 * stat_welfare
+    else:
+        psi_min = psi_max = Fraction(1)
+    inner = price_learning_mechanism(mech, m, psi_min, psi_max, tape, alpha=alpha)
+    return replace(
+        inner,
+        value_queries=dict(log.value),
+        bidders=tuple(bidders),
+        statistics_group=tuple(b for b, _ in stat),
+        statistics_welfare=stat_welfare,
+    )
+
+
 class TestFinalMechanism:
     def test_requires_bidders_and_items(self):
         with pytest.raises(DomainError):
@@ -653,6 +689,27 @@ class TestFinalMechanism:
         a = final_mechanism(bidders, 3, CoinTape(123))
         b = final_mechanism(bidders, 3, CoinTape(123))
         assert a.allocation == b.allocation and a.branch == b.branch
+
+    @pytest.mark.parametrize("family", harness.FAMILIES)
+    def test_one_outcome_matches_replaced_learning_outcome(self, family):
+        """``final_mechanism`` builds its outcome once; it equals, field by
+        field and in query-count key order, the learning run's own outcome
+        with the statistic's fields put in by ``replace``."""
+        instance = harness.generate_instance(
+            harness.GeneratorSpec(24, 4, family, seed=31)
+        )
+        bidders, m = instance.bidders(), instance.item_count
+        branches = set()
+        for seed in range(200):
+            fast = final_mechanism(bidders, m, CoinTape(seed))
+            slow = reference_final_mechanism(bidders, m, CoinTape(seed))
+            branches.add(fast.branch)
+            for f in fields(MechanismOutcome):
+                a, b = getattr(fast, f.name), getattr(slow, f.name)
+                assert a == b, (seed, f.name)
+                if isinstance(a, dict):
+                    assert list(a.items()) == list(b.items()), (seed, f.name)
+        assert branches == {SECOND_PRICE, LEARNING_STOPPED}
 
 
 class TestOutcomeAllocation:
