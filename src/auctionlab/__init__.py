@@ -44,13 +44,10 @@ from .price_tree import (
     Bins,
     Params,
     PriceTree,
-    belongs,
     build_bins,
     build_modified_tree,
-    build_price_tree,
     canonical_vectors,
     solve_parameters,
-    strongly_belongs,
 )
 from .trace import AnalysisTrace, build_trace, check_learnable_or_allocatable
 from .valuations import (

@@ -70,10 +70,6 @@ class QueryLog:
     demand: Counter = field(default_factory=Counter)
     value: Counter = field(default_factory=Counter)
 
-    @property
-    def total_demand(self) -> int:
-        return sum(self.demand.values())
-
 
 def fixed_price_auction(
     bidders: Sequence[Bidder],

@@ -26,7 +26,7 @@ from .mechanism import (
 )
 from .oracle import brute_force_opt
 from .rationals import as_rational, format_rational
-from .valuations import Valuation
+from .valuations import Valuation, on_grid
 
 FAMILIES = ("xos-random", "additive", "budget-additive")
 
@@ -162,18 +162,6 @@ def _log_uniform_cents(lo: Fraction, hi: Fraction) -> _CentsDraw:
     return _CentsDraw(grid, draw)
 
 
-def _on_grid(
-    grid: int, rows: Sequence[Sequence[int]], cap: Optional[int] = None
-) -> Valuation:
-    """The valuation whose numbers are ``rows`` and ``cap`` over ``grid``,
-    reduced to its least scale by one gcd."""
-    g = math.gcd(grid, *(x for row in rows for x in row), cap or 0)
-    if g > 1:
-        rows = [[x // g for x in row] for row in rows]
-        cap = None if cap is None else cap // g
-    return Valuation(grid // g, tuple(map(tuple, rows)), cap)
-
-
 def generate_instance(spec: GeneratorSpec) -> Instance:
     rng = random.Random(spec.seed)
     lo, hi = spec.value_range
@@ -186,10 +174,10 @@ def generate_instance(spec: GeneratorSpec) -> Instance:
     valuations: list[Valuation] = []
     for _ in range(spec.bidder_count):
         if spec.family == "additive":
-            valuations.append(_on_grid(grid, [draw_row()]))
+            valuations.append(on_grid(grid, [draw_row()]))
         elif spec.family == "xos-random":
             clauses = rng.randint(*spec.clause_count)
-            valuations.append(_on_grid(grid, [draw_row() for _ in range(clauses)]))
+            valuations.append(on_grid(grid, [draw_row() for _ in range(clauses)]))
         else:
             values = draw_row()
             total = sum(values)
@@ -200,7 +188,7 @@ def generate_instance(spec: GeneratorSpec) -> Instance:
                     Fraction(max(values), grid), Fraction(total, grid)
                 )
                 budget = budget_draw(rng) * (grid // sub)
-            valuations.append(_on_grid(grid, [values], budget))
+            valuations.append(on_grid(grid, [values], budget))
     return Instance(m, tuple(valuations))
 
 
@@ -353,6 +341,10 @@ class TruthfulnessReport:
         return not self.violations and not self.query_budget_violations
 
 
+# The value range the random lies' entries and budgets are drawn around.
+LIE_VALUE_RANGE = (Fraction(1), Fraction(100))
+
+
 def _deviation(
     rng: random.Random, m: int, entry: _CentsDraw, budget: _CentsDraw
 ) -> Valuation:
@@ -365,13 +357,13 @@ def _deviation(
     draw = entry.draw
     if kind < 0.55:
         rows = [[draw(rng) for _ in range(m)] for _ in range(rng.randint(1, 3))]
-        return _on_grid(entry.grid, rows)
+        return on_grid(entry.grid, rows)
     values = [draw(rng) for _ in range(m)]
     cap = budget.draw(rng)
     grid = math.lcm(entry.grid, budget.grid)
     if grid != entry.grid:
         values = [x * (grid // entry.grid) for x in values]
-    return _on_grid(grid, [values], cap * (grid // budget.grid))
+    return on_grid(grid, [values], cap * (grid // budget.grid))
 
 
 def _query_budget_check(outcome: MechanismOutcome, seed: int) -> list[dict]:
@@ -399,7 +391,6 @@ def truthfulness_report(
     deviations: int,
     *,
     deviation_seed: int = 0,
-    value_range: tuple[Fraction, Fraction] = (Fraction(1), Fraction(100)),
 ) -> TruthfulnessReport:
     """Replay every tape against deviating reports; collect any utility gain.
 
@@ -423,7 +414,7 @@ def truthfulness_report(
     rng = random.Random(deviation_seed)
     bidders = instance.bidders()
     m = instance.item_count
-    lo, hi = value_range
+    lo, hi = LIE_VALUE_RANGE
     entry = _log_uniform_cents(lo / 2, hi * 2)
     budget = _log_uniform_cents(lo / 2, hi * m)
     violations: list[dict] = []

@@ -53,13 +53,9 @@ class Params:
         check_range(self.psi_min, self.psi_max)
 
     @property
-    def psi_ratio(self) -> Fraction:
-        return self.psi_max / self.psi_min
-
-    @property
     def bin_count(self) -> int:
         """t: number of bins covering [psi_min, psi_max] (at least 1)."""
-        return max(1, ceil_log(self.gamma, self.psi_ratio))
+        return max(1, ceil_log(self.gamma, self.psi_max / self.psi_min))
 
     @property
     def leaf_capacity(self) -> int:
@@ -148,23 +144,7 @@ class Bins:
     params: Params
     cells: tuple[BinCell, ...]
 
-    @property
-    def count(self) -> int:
-        return len(self.cells)
-
-    def price(self, index: int) -> Fraction:
-        """Price (minimum value) of the 1-based bin ``index``."""
-        return self.cells[index - 1].price
-
-    def index_of(self, price: Fraction) -> Optional[int]:
-        for cell in self.cells:
-            if cell.contains(price):
-                return cell.index
-        return None
-
-    def retained(self, parity: Optional[str]) -> tuple[BinCell, ...]:
-        if parity is None:
-            return self.cells
+    def retained(self, parity: str) -> tuple[BinCell, ...]:
         if parity not in (ODD, EVEN):
             raise DomainError(f"parity must be {ODD!r} or {EVEN!r}, got {parity!r}")
         wanted = 1 if parity == ODD else 0
@@ -187,7 +167,6 @@ def build_bins(params: Params) -> Bins:
 
 @dataclass(frozen=True)
 class TreeNode:
-    level: int
     cells: tuple[BinCell, ...]
     children: tuple["TreeNode", ...]
 
@@ -201,32 +180,18 @@ class TreeNode:
         return tuple(c.index for c in self.cells if c.index is not None)
 
     def belongs(self, price: Fraction) -> bool:
+        """True iff the price falls inside one of the node's real bins."""
         return any(c.contains(price) for c in self.cells)
-
-    def strongly_belongs(self, price: Fraction) -> bool:
-        return price == self.price
-
-
-def belongs(price: RationalLike, node: TreeNode) -> bool:
-    """True iff the price falls inside one of the node's real bins."""
-    return node.belongs(as_rational(price))
-
-
-def strongly_belongs(price: RationalLike, node: TreeNode) -> bool:
-    """True iff the price equals the node's own price (its smallest bin's)."""
-    return node.strongly_belongs(as_rational(price))
 
 
 @dataclass(frozen=True)
 class PriceTree:
-    """A perfect alpha-ary discretization tree over retained bins.
-
-    ``parity`` is None for the tree over all bins, "odd"/"even" for the
-    modified trees. ``levels[i]`` holds the nodes of level i+1 left to right.
+    """A perfect alpha-ary discretization tree over the bins of one parity,
+    "odd" or "even". ``levels[i]`` holds the nodes of level i+1 left to right.
     """
 
     params: Params
-    parity: Optional[str]
+    parity: str
     levels: tuple[tuple[TreeNode, ...], ...]
 
     @property
@@ -241,20 +206,15 @@ class PriceTree:
     def depth(self) -> int:
         return len(self.levels)
 
-    def level(self, index: int) -> tuple[TreeNode, ...]:
-        """Nodes of 1-based level ``index`` (1 = root, beta+1 = leaves)."""
-        if not 1 <= index <= len(self.levels):
-            raise DomainError(f"level {index} outside 1..{len(self.levels)}")
-        return self.levels[index - 1]
-
     def strong_node(self, price: Fraction, level: int) -> Optional[TreeNode]:
-        for node in self.level(level):
-            if node.strongly_belongs(price):
+        """The node of 1-based ``level`` (1 = root, beta+1 = leaves) whose own
+        price, its smallest bin's, equals ``price``; None if there is none."""
+        if not 1 <= level <= len(self.levels):
+            raise DomainError(f"level {level} outside 1..{len(self.levels)}")
+        for node in self.levels[level - 1]:
+            if node.price == price:
                 return node
         return None
-
-    def root_price_vector(self, m: int) -> tuple[Fraction, ...]:
-        return (self.root.price,) * m
 
 
 def _spread(
@@ -272,7 +232,13 @@ def _spread(
     return out
 
 
-def _build_tree(bins: Bins, parity: Optional[str]) -> PriceTree:
+def build_modified_tree(bins: Bins, parity: str) -> PriceTree:
+    """The tree over only the odd- or even-indexed bins.
+
+    With t = 1 the even tree retains nothing and is built purely from dummy
+    bins: its prices match no real price, so a mechanism run that drew it
+    learns nothing, which the parity coin already accounts for.
+    """
     params = bins.params
     retained = bins.retained(parity)
     if len(retained) > params.leaf_capacity:
@@ -292,35 +258,18 @@ def _build_tree(bins: Bins, parity: Optional[str]) -> PriceTree:
             price = params.psi_max * params.gamma**dummy_counter
             leaf_cells.append(BinCell(None, price, price * params.gamma, False))
 
-    level = tuple(TreeNode(params.beta + 1, (cell,), ()) for cell in leaf_cells)
+    level = tuple(TreeNode((cell,), ()) for cell in leaf_cells)
     levels = [level]
-    for depth in range(params.beta, 0, -1):
+    for _ in range(params.beta):
         grouped = []
         for k in range(0, len(level), params.alpha):
             children = level[k : k + params.alpha]
             cells = tuple(c for child in children for c in child.cells)
-            grouped.append(TreeNode(depth, cells, children))
+            grouped.append(TreeNode(cells, children))
         level = tuple(grouped)
         levels.append(level)
     levels.reverse()
     return PriceTree(params, parity, tuple(levels))
-
-
-def build_price_tree(bins: Bins) -> PriceTree:
-    """The tree over all bins (no parity filtering)."""
-    return _build_tree(bins, None)
-
-
-def build_modified_tree(bins: Bins, parity: str) -> PriceTree:
-    """The tree over only the odd- or even-indexed bins.
-
-    With t = 1 the even tree retains nothing and is built purely from dummy
-    bins: its prices match no real price, so a mechanism run that drew it
-    learns nothing, which the parity coin already accounts for.
-    """
-    if parity not in (ODD, EVEN):
-        raise DomainError(f"parity must be {ODD!r} or {EVEN!r}, got {parity!r}")
-    return _build_tree(bins, parity)
 
 
 def canonical_vectors(

@@ -119,6 +119,18 @@ class Valuation:
         return totals.index(max(totals))
 
 
+def on_grid(
+    grid: int, rows: Sequence[Sequence[int]], cap: Optional[int] = None
+) -> Valuation:
+    """The valuation whose numbers are ``rows`` and ``cap`` over ``grid``,
+    reduced to its least scale by one gcd."""
+    g = gcd(grid, *(x for row in rows for x in row), cap or 0)
+    if g > 1:
+        rows = [[x // g for x in row] for row in rows]
+        cap = None if cap is None else cap // g
+    return Valuation(grid // g, tuple(map(tuple, rows)), cap)
+
+
 def _scaled(*rows: Sequence[Fraction]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The least common denominator of the rows and the rows times it."""
     scale = common_scale(x for row in rows for x in row)

@@ -267,7 +267,6 @@ def test_query_log_counts_one_demand_per_bidder():
     bidders = [(4, additive((5, 1))), (9, additive((4, 4)))]
     fixed_price_auction(bidders, {0, 1}, (Fraction(2), Fraction(2)), query_log=log)
     assert log.demand == {4: 1, 9: 1}
-    assert log.total_demand == 2
 
 
 def test_allocation_accessors_default_to_empty():

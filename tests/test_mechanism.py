@@ -420,7 +420,7 @@ class TestPriceLearningMechanism:
                 for m in (0, 1, 3, 8):
                     params, root, vectors, halves = _first_prices(lo, hi, alpha, parity, m)
                     assert params == fresh
-                    assert root == tree.root_price_vector(m)
+                    assert root == (tree.root.price,) * m
                     reference = canonical_vectors(tree, root, 1)
                     assert vectors == tuple(reference)
                     assert halves == tuple(_halve(v) for v in reference)
@@ -547,7 +547,7 @@ class TestPricesByShape:
             tree = build_modified_tree(build_bins(fresh), parity)
             params, root, vectors, halves = _first_prices(lo, hi, alpha, parity, m)
             assert params == fresh
-            assert root == tree.root_price_vector(m)
+            assert root == (tree.root.price,) * m
             reference = canonical_vectors(tree, root, 1)
             assert vectors == tuple(reference)
             assert halves == tuple(_halve(v) for v in reference)

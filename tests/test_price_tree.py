@@ -13,14 +13,11 @@ from auctionlab.price_tree import (
     ODD,
     Bins,
     Params,
-    belongs,
     build_bins,
     build_modified_tree,
-    build_price_tree,
     canonical_vectors,
     ceil_log,
     solve_parameters,
-    strongly_belongs,
     validate_parameter_equations,
 )
 
@@ -84,25 +81,29 @@ FOUR_BINS = Params(2, 2, Fraction(4), Fraction(1), Fraction(256))
 class TestBins:
     def test_geometric_partition(self):
         bins = build_bins(FOUR_BINS)
-        assert bins.count == 4
+        assert len(bins.cells) == 4
         assert [c.price for c in bins.cells] == [1, 4, 16, 64]
         assert [c.upper for c in bins.cells] == [4, 16, 64, 256]
         assert [c.closed for c in bins.cells] == [False, False, False, True]
 
     def test_single_point_bin(self):
         bins = build_bins(Params(2, 1, Fraction(40), Fraction(5), Fraction(5)))
-        assert bins.count == 1
-        assert bins.index_of(Fraction(5)) == 1
-        assert bins.price(1) == 5
+        assert len(bins.cells) == 1
+        assert bins.cells[0].contains(Fraction(5))
+        assert bins.cells[0].price == 5
 
     def test_membership(self):
         bins = build_bins(FOUR_BINS)
-        assert bins.index_of(Fraction(1)) == 1
-        assert bins.index_of(Fraction(4)) == 2
-        assert bins.index_of(Fraction(255)) == 4
-        assert bins.index_of(Fraction(256)) == 4
-        assert bins.index_of(Fraction(257)) is None
-        assert bins.index_of(Fraction(1, 2)) is None
+
+        def owners(price):
+            return [c.index for c in bins.cells if c.contains(price)]
+
+        assert owners(Fraction(1)) == [1]
+        assert owners(Fraction(4)) == [2]
+        assert owners(Fraction(255)) == [4]
+        assert owners(Fraction(256)) == [4]  # the last bin is closed
+        assert owners(Fraction(257)) == []
+        assert owners(Fraction(1, 2)) == []
 
     def test_within_bin_spread_is_at_most_gamma(self):
         bins = build_bins(FOUR_BINS)
@@ -128,21 +129,17 @@ class TestModifiedTree:
         # eight bins at gamma = 2; the odd tree keeps B1, B3, B5, B7 as leaves
         params = Params(2, 3, Fraction(2), Fraction(1), Fraction(200))
         bins = build_bins(params)
-        assert bins.count == 8
+        assert len(bins.cells) == 8
         tree = build_modified_tree(bins, ODD)
         assert tree.depth == 4
         real_leaves = [n for n in tree.leaves if n.bin_indices]
         assert [n.bin_indices for n in real_leaves] == [(1,), (3,), (5,), (7,)]
 
-    def test_plain_tree_has_one_real_bin_per_leaf(self):
-        params = Params(2, 2, Fraction(4), Fraction(1), Fraction(256))
-        tree = build_price_tree(build_bins(params))
-        assert [n.bin_indices for n in tree.leaves] == [(1,), (2,), (3,), (4,)]
-
     def test_capacity_violation_rejected(self):
-        params = Params(2, 1, Fraction(2), Fraction(1), Fraction(200))  # t = 8
+        # t = 8; the odd tree keeps 4 bins, over the capacity alpha^beta = 2
+        params = Params(2, 1, Fraction(2), Fraction(1), Fraction(200))
         with pytest.raises(InvariantViolationError):
-            build_price_tree(build_bins(params))
+            build_modified_tree(build_bins(params), ODD)
 
     def test_bad_parity(self):
         with pytest.raises(DomainError):
@@ -152,24 +149,30 @@ class TestModifiedTree:
 class TestBelonging:
     def test_root_price_strongly_belongs(self):
         tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
-        assert strongly_belongs(1, tree.root)
-        assert belongs(1, tree.root)
+        assert tree.strong_node(Fraction(1), 1) is tree.root
+        assert tree.root.belongs(Fraction(1))
 
     def test_belongs_without_strongly(self):
         tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
-        assert belongs(16, tree.root)
-        assert not strongly_belongs(16, tree.root)
+        assert tree.root.belongs(Fraction(16))
+        assert tree.strong_node(Fraction(16), 1) is None
+
+    def test_strong_node_level_out_of_range(self):
+        tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
+        for level in (0, tree.depth + 1):
+            with pytest.raises(DomainError):
+                tree.strong_node(Fraction(1), level)
 
     def test_above_range_belongs_nowhere(self):
         tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
         assert all(
-            not belongs(300, node) for level in tree.levels for node in level
+            not node.belongs(Fraction(300)) for level in tree.levels for node in level
         )
 
     def test_wrong_parity_belongs_nowhere(self):
         tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
         assert all(
-            not belongs(5, node) for level in tree.levels for node in level
+            not node.belongs(Fraction(5)) for level in tree.levels for node in level
         )  # 5 sits in B2
 
 
