@@ -14,11 +14,11 @@ lexicographic tie-break is folded into the integer objective as low-order
 digits below the welfare: they read (n+1)^m - 1 minus the assignment vector
 in base n+1, so the single maximum already names the lexicographically
 smallest optimal vector and the assignment is read off its digits, with no
-back-pointers. An XOS bidder is a max over additive clauses, and an additive
-clause turns the step into one subset-max transform per clause:
-O(clauses * m * 2^m) list operations. A budget-additive bidder is not
-additive under its budget, so its step tries every subset split: O(3^m).
-``assignment_cap`` bounds n * 3^m, the work of the all-split worst case.
+back-pointers. Weights grow with the bundle, so the first bidder's weights
+are the first table and the last bidder splits only the whole item set:
+n - 2 full steps. An XOS step is one pass per item and clause,
+O(clauses * m * 2^m); a budget-additive step tries every subset split,
+O(3^m). ``assignment_cap`` bounds n * 3^m, the all-split worst case.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, sub
+from operator import add
 from typing import Mapping, Sequence, Union
 
 from .auction import Allocation
-from .errors import CapabilityError, InvariantViolationError
+from .errors import CapabilityError, InstanceShapeError, InvariantViolationError
 from .valuations import (
     Valuation,
     bundle_value_table,
@@ -83,14 +83,18 @@ def brute_force_opt(
     """Globally optimal allocation of m items among the given bidders.
 
     Raises ``CapabilityError`` before any work when n * 3^m, the DP's subset
-    splits if every bidder were budget-additive, exceeds the cap. n = 0
-    yields the empty allocation with welfare 0.
+    splits if every bidder were budget-additive, exceeds the cap, then
+    ``InstanceShapeError`` if a valuation is not over m items. n = 0 yields
+    the empty allocation with welfare 0.
     """
     n = len(valuations)
     if n * 3**m > assignment_cap:
         raise CapabilityError(
             f"n * 3^m = {n * 3**m} subset splits exceed the cap {assignment_cap}"
         )
+    for i, v in enumerate(valuations):
+        if v.item_count != m:
+            raise InstanceShapeError(f"bidder {i} has {v.item_count} items, not {m}")
     if n == 0 or m == 0:
         return OptimalSolution(
             Allocation({i: frozenset() for i in range(n)}, {}),
@@ -101,7 +105,6 @@ def brute_force_opt(
 
     scale = lcm(*(v.scale for v in valuations))
     items = range(m)
-    nmask = 1 << m
     big = (n + 1) ** m
     # place[j] is item j's digit in base n+1, item 0 most significant, and
     # digits[S] reads S's 0/1 item vector in that base.
@@ -114,19 +117,22 @@ def brute_force_opt(
     # second term is big - 1 minus the assignment vector read in base n+1,
     # so every assignment has its own objective and the maximum has the
     # optimal welfare and, among optimal allocations, the lexicographically
-    # smallest vector.
-    prev = [0] * nmask
-    for i, valuation in enumerate(valuations):
+    # smallest vector. For the last bidder, reversed(prev)[T] is prev(all - T).
+    def weight(i: int) -> list[int]:
+        table = bundle_value_table(valuations[i], items, scale)
+        return [big * v + (n - i) * d for v, d in zip(table, digits)]
+
+    prev = weight(0)
+    for i, valuation in enumerate(valuations[1:-1], 1):
         if valuation.cap is None:
             factor = big * (scale // valuation.scale)
             tie = [(n - i) * d for d in place]
             prev = _xos_step(prev, valuation.rows, factor, tie, m)
         else:
-            table = bundle_value_table(valuation, items, scale)
-            weight = [big * v + (n - i) * d for v, d in zip(table, digits)]
-            prev = _split_step(prev, weight)
+            prev = _split_step(prev, weight(i))
+    top = prev[-1] if n == 1 else max(map(add, reversed(prev), weight(n - 1)))
 
-    total, low = divmod(prev[nmask - 1], big)
+    total, low = divmod(top, big)
     assignment = [n] * m
     for j in reversed(items):
         low, digit = divmod(low, n + 1)
@@ -158,39 +164,33 @@ def _xos_step(
 ) -> list[int]:
     """Add an XOS bidder to the subset DP in O(clauses * m * 2^m).
 
-    Under clause c the bidder's weight C(T) = sum over T of
-    ``factor * c_j + tie[j]`` is additive, so splitting S into T and its rest
-    gives max over T of C(T) + prev(S - T) = C(S) + max over U inside S of
-    prev(U) - C(U), a subset-max transform; U = S keeps prev(S). The
-    bidder's row is the elementwise max over its clauses.
+    Under a clause the weight C(T), the sum over T of ``w_j = factor * c_j +
+    tie[j]``, is additive, and max over U inside S of prev(U) + C(S - U) is
+    one pass per item j over a copy g of prev, g[S + j] = max(g[S + j], g[S]
+    + w_j), by blocks when the bit is high and by strided slices when it is
+    low. The bidder's row is the elementwise max over its clauses.
     """
-    best = prev
+    size = 1 << m
+    best: list[int] = []
     for row in rows:
-        clause = max_subset_sums([[factor * x + t for x, t in zip(row, tie)]], m)
-        inner = list(map(sub, prev, clause))
-        _subset_max(inner, m)
-        best = list(map(max, best, map(add, clause, inner)))
+        g = prev[:]
+        for b, w in enumerate(factor * x + t for x, t in zip(row, tie)):
+            half = 1 << b
+            step = half << 1
+            if half <= size // step:
+                for o in range(half, step):
+                    g[o::step] = _lift(g[o::step], g[o - half::step], w)
+            else:
+                for k in range(half, size, step):
+                    g[k:k + half] = _lift(g[k:k + half], g[k - half:k], w)
+        best = [a if a > c else c for a, c in zip(best, g)] if best else g
     return best
 
 
-def _subset_max(g: list[int], m: int) -> None:
-    """In place, g[S] becomes the max of g[U] over every U inside S.
-
-    One pass per bit lifts each mask with the bit set by the mask without it,
-    a slice at a time: by blocks when the bit is high (few long blocks), by
-    offsets with a stride when it is low (few long strided slices).
-    """
-    size = 1 << m
-    for b in range(m):
-        half = 1 << b
-        step = half << 1
-        if half <= size // step:
-            for o in range(half):
-                g[o + half::step] = map(max, g[o + half::step], g[o::step])
-        else:
-            for base in range(0, size, step):
-                top = base + half
-                g[top:base + step] = map(max, g[top:base + step], g[base:top])
+def _lift(hi: list[int], lo: list[int], w: int) -> list[int]:
+    """max(hi[k], lo[k] + w) for every k. The max is inline: ``map(max, ...)``
+    calls ``max`` once a pair and takes about four times as long."""
+    return [a if a > (c := s + w) else c for a, s in zip(hi, lo)]
 
 
 def _split_step(prev: list[int], weight: list[int]) -> list[int]:

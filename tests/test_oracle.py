@@ -8,10 +8,20 @@ from math import lcm
 import pytest
 
 from auctionlab.auction import Allocation
-from auctionlab.errors import CapabilityError, InvariantViolationError
+from auctionlab.errors import (
+    CapabilityError,
+    InstanceShapeError,
+    InvariantViolationError,
+)
 from auctionlab.harness import GeneratorSpec, generate_instance
 from auctionlab.instances import valuation_to_dict
-from auctionlab.oracle import OptimalSolution, brute_force_opt, welfare
+from auctionlab.oracle import (
+    OptimalSolution,
+    _split_step,
+    _xos_step,
+    brute_force_opt,
+    welfare,
+)
 from auctionlab.valuations import (
     additive,
     budget_additive,
@@ -185,6 +195,25 @@ class TestBruteForceOpt:
             sol = brute_force_opt(vals, m)
             assert (sol.welfare, sol.assignment) == naive_opt(vals, m)
 
+    @pytest.mark.parametrize("family", ["xos", "additive", "budget-additive"])
+    @pytest.mark.parametrize("items", [2, 4])
+    def test_item_count_must_match_m(self, family, items):
+        def make(k):
+            values = list(range(1, k + 1))
+            if family == "xos":
+                return xos(values, values[::-1])
+            if family == "additive":
+                return additive(values)
+            return budget_additive(values, 4)
+
+        # Both directions are refused before any table is built, for the
+        # sole bidder and for a middle bidder, whose XOS passes would
+        # otherwise read a short row against the wrong items.
+        with pytest.raises(InstanceShapeError, match=f"0 has {items} items, not 3"):
+            brute_force_opt([make(items)], 3)
+        with pytest.raises(InstanceShapeError, match=f"1 has {items} items, not 3"):
+            brute_force_opt([make(3), make(items), make(3)], 3)
+
     def test_deterministic(self):
         vals = [xos((4, 4), (1, 6)), budget_additive((3, 3), 4)]
         first = brute_force_opt(vals, 2)
@@ -290,6 +319,25 @@ class TestMatchesSubsetSplitReference:
             [additive((Fraction(1, 2), 3, 2)), additive((1, Fraction(7, 3), 2))], 3
         )
 
+    @pytest.mark.parametrize(
+        "vals",
+        [
+            [xos((2, 0, 5), (1, 0, 1))],
+            [xos((2, 0, 5), (1, 4, 1)), xos((3, 3, 0), (0, 1, 6))],
+            [additive((4, 0, 2))],
+            [additive((4, 1, 2)), additive((3, 2, 2))],
+            [budget_additive((4, 3, 2), 5)],
+            [budget_additive((4, 3, 2), 5), budget_additive((1, 4, 4), 6)],
+        ],
+    )
+    def test_one_and_two_bidders(self, vals):
+        # With one bidder its weights are the answer; with two no full step
+        # runs, only the first bidder's table and the last bidder's split of
+        # the whole item set.
+        self.check(vals, 3)
+        sol = brute_force_opt(vals, 3)
+        assert (sol.welfare, sol.assignment) == naive_opt(vals, 3)
+
     def test_twelve_items(self):
         rng = random.Random(12)
         vals = [random_valuation(rng, 12) for _ in range(2)]
@@ -312,3 +360,30 @@ class TestWelfare:
     def test_overlap_rejected(self):
         with pytest.raises(InvariantViolationError):
             Allocation({0: frozenset({0}), 1: frozenset({0})}, {})
+
+
+def test_xos_step_matches_split_step():
+    """One XOS step, per-item passes, against trying every split with the
+    bidder's weights factor * max_c c(S) + tie(S), on arbitrary tables."""
+
+    def total(row, mask):
+        return sum(x for j, x in enumerate(row) if mask >> j & 1)
+
+    rng = random.Random(1313)
+    for trial in range(300):
+        m = rng.randint(1, 7)
+        size = 1 << m
+        if trial % 3 == 0:
+            prev = [rng.randint(-50, 50) for _ in range(size)]
+        elif trial % 3 == 1:
+            prev = [rng.randint(0, 1) for _ in range(size)]
+        else:
+            prev = [rng.randint(0, 10**12) for _ in range(size)]
+        rows = [[rng.randint(0, 3) for _ in range(m)] for _ in range(rng.randint(1, 4))]
+        factor = rng.randint(0, 4)
+        tie = [rng.randint(0, 3) for _ in range(m)]
+        weight = [
+            factor * max(total(row, mask) for row in rows) + total(tie, mask)
+            for mask in range(size)
+        ]
+        assert _xos_step(prev, rows, factor, tie, m) == _split_step(prev, weight)
