@@ -366,7 +366,8 @@ def _deviation(
     return on_grid(grid, [values], cap * (grid // budget.grid))
 
 
-def _query_budget_check(outcome: MechanismOutcome, seed: int) -> list[dict]:
+def _query_budget_check(outcome: MechanismOutcome, n: int, seed: int) -> list[dict]:
+    """Demand queries past alpha per bidder or alpha * n in all."""
     if outcome.params is None:
         return []
     alpha = outcome.params.alpha
@@ -374,8 +375,9 @@ def _query_budget_check(outcome: MechanismOutcome, seed: int) -> list[dict]:
     for bidder, count in outcome.demand_queries.items():
         if count > alpha:
             bad.append({"seed": seed, "bidder": bidder, "demand_queries": count})
-    if outcome.total_demand_queries > alpha * len(outcome.bidders):
-        bad.append({"seed": seed, "total_demand_queries": outcome.total_demand_queries})
+    total = sum(outcome.demand_queries.values())
+    if total > alpha * n:
+        bad.append({"seed": seed, "total_demand_queries": total})
     return bad
 
 
@@ -413,7 +415,7 @@ def truthfulness_report(
         raise DomainError("truthfulness sweep needs at least one bidder and item")
     rng = random.Random(deviation_seed)
     bidders = instance.bidders()
-    m = instance.item_count
+    n, m = instance.bidder_count, instance.item_count
     lo, hi = LIE_VALUE_RANGE
     entry = _log_uniform_cents(lo / 2, hi * 2)
     budget = _log_uniform_cents(lo / 2, hi * m)
@@ -428,7 +430,7 @@ def truthfulness_report(
         tape = CoinTape(seed)
         honest = final_mechanism(bidders, m, tape)
         runs += 1
-        budget_violations.extend(_query_budget_check(honest, seed))
+        budget_violations.extend(_query_budget_check(honest, n, seed))
         base = {
             b: bidder_utility(honest, b, v) for b, v in bidders
         }
@@ -440,7 +442,7 @@ def truthfulness_report(
                 outcome = final_mechanism(twisted, m, tape.replay())
                 runs += 1
                 checked += 1
-                budget_violations.extend(_query_budget_check(outcome, seed))
+                budget_violations.extend(_query_budget_check(outcome, n, seed))
                 utility = bidder_utility(outcome, b, truth)
                 if utility > base[b]:
                     violations.append(

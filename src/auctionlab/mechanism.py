@@ -228,25 +228,28 @@ def price_update(
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Everything iteration i produced: the alpha refined price vectors and
-    the alpha allocations of this iteration's auctions."""
+    """Everything iteration i produced: the alpha refined price vectors, the
+    alpha allocations of this iteration's auctions and the welfare of each,
+    valued with the reported valuations."""
 
     level: int
     vectors: tuple[PriceVector, ...]
     allocations: tuple[Allocation, ...]
+    welfares: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
 class MechanismOutcome:
-    """What one run decided. ``allocation`` is the chosen auction's own
-    allocation: bidders outside that auction are absent from it, which
-    ``Allocation`` reads as an empty bundle and a zero payment."""
+    """What one run decided, and none of its input. ``allocation`` is the
+    chosen auction's own allocation: bidders outside that auction are absent
+    from it, which ``Allocation`` reads as an empty bundle and a zero
+    payment. The participants are the keys of ``value_queries`` and the
+    members of ``groups``."""
 
     allocation: Allocation
     welfare: Fraction
     branch: str
     value_queries: dict[int, int]
-    bidders: tuple[Bidder, ...]
     stop_iteration: Optional[int] = None
     j_star: Optional[int] = None  # 1-based auction index when stopped
     demand_queries: dict[int, int] = field(default_factory=dict)
@@ -257,10 +260,6 @@ class MechanismOutcome:
     iterations: tuple[IterationRecord, ...] = ()
     statistics_group: tuple[int, ...] = ()
     statistics_welfare: Optional[Fraction] = None
-
-    @property
-    def total_demand_queries(self) -> int:
-        return sum(self.demand_queries.values())
 
     @property
     def tree(self) -> Optional[PriceTree]:
@@ -283,17 +282,17 @@ def _range_tree(params: Params, parity: str) -> PriceTree:
 
 
 @lru_cache(maxsize=32)
-def _unit_tree(ratio: Fraction, alpha: int, parity: str) -> PriceTree:
+def _unit_tree(ratio: Fraction, parity: str) -> PriceTree:
     """The modified price tree of [1, ratio]. (alpha, beta, gamma) depend on
     the ratio alone, and every price of the tree of [psi_min, psi_max] is
     psi_min times the matching price here: bins are psi_min * gamma^k and
     dummies psi_max * gamma^k. One tree serves every range of a shape."""
-    return build_modified_tree(build_bins(solve_parameters(1, ratio, alpha)), parity)
+    return build_modified_tree(build_bins(solve_parameters(1, ratio)), parity)
 
 
 @lru_cache(maxsize=32)
 def _first_prices(
-    psi_min: Fraction, psi_max: Fraction, alpha: int, parity: str, m: int
+    psi_min: Fraction, psi_max: Fraction, parity: str, m: int
 ) -> tuple[Params, PriceVector, tuple[PriceVector, ...], tuple[PriceVector, ...]]:
     """A range's parameters, its root price vector over ``m`` items, and
     iteration 1's alpha canonical vectors with their halves, scaled from the
@@ -302,7 +301,7 @@ def _first_prices(
     All of it is frozen: replays of a tape against different reports share
     it. The cache is small because a sweep revisits only a few ranges."""
     check_range(psi_min, psi_max)
-    unit = _unit_tree(psi_max / psi_min, alpha, parity)
+    unit = _unit_tree(psi_max / psi_min, parity)
     unit_params = unit.params
     params = Params(
         unit_params.alpha, unit_params.beta, unit_params.gamma, psi_min, psi_max
@@ -322,8 +321,6 @@ def price_learning_mechanism(
     psi_min: RationalLike,
     psi_max: RationalLike,
     tape: CoinTape,
-    *,
-    alpha: int = 2,
 ) -> MechanismOutcome:
     """Iterative price learning over [psi_min, psi_max].
 
@@ -334,10 +331,7 @@ def price_learning_mechanism(
     # Fixed-price auctions ask demand queries and never value queries.
     return MechanismOutcome(
         value_queries={},
-        bidders=tuple(bidders),
-        **_learning_run(
-            bidders, m, as_rational(psi_min), as_rational(psi_max), tape, alpha
-        ),
+        **_learning_run(bidders, m, as_rational(psi_min), as_rational(psi_max), tape),
     )
 
 
@@ -347,14 +341,12 @@ def _learning_run(
     psi_min: Fraction,
     psi_max: Fraction,
     tape: CoinTape,
-    alpha: int,
 ) -> dict:
     """The learning mechanism's run, as the ``MechanismOutcome`` fields it
-    decides; the caller adds the bidders and value queries."""
+    decides; the caller adds the value queries. Each auction is valued once,
+    into its iteration's record."""
     parity = tape.tree_parity()
-    params, prices, vectors, halves = _first_prices(
-        psi_min, psi_max, alpha, parity, m
-    )
+    params, prices, vectors, halves = _first_prices(psi_min, psi_max, parity, m)
     ids = [b for b, _ in bidders]
     by_id = dict(bidders)
     groups = partition_bidders(ids, params.beta, tape)
@@ -376,11 +368,12 @@ def _learning_run(
         allocations = tuple(
             fixed_price_auction(group, items, h, query_log=log) for h in halves
         )
-        records.append(IterationRecord(i, vectors, allocations))
+        welfares = tuple(welfare(a, by_id) for a in allocations)
+        records.append(IterationRecord(i, vectors, allocations, welfares))
         stop = tape.stop_coin(params.beta)
         pick = tape.pick_auction(params.alpha)
         if stop:
-            selected = allocations[pick]
+            selected, selected_welfare = allocations[pick], welfares[pick]
             branch = LEARNING_STOPPED
             stop_iteration = i
             j_star = pick + 1
@@ -393,10 +386,11 @@ def _learning_run(
         selected = fixed_price_auction(
             final_group, items, _halve(prices), query_log=log
         )
+        selected_welfare = welfare(selected, by_id)
 
     return dict(
         allocation=selected,
-        welfare=welfare(selected, by_id),
+        welfare=selected_welfare,
         branch=branch,
         stop_iteration=stop_iteration,
         j_star=j_star,
@@ -421,8 +415,6 @@ def final_mechanism(
     bidders: Sequence[Bidder],
     m: int,
     tape: CoinTape,
-    *,
-    alpha: int = 2,
 ) -> MechanismOutcome:
     """Top-level mechanism over all bidders.
 
@@ -442,7 +434,6 @@ def final_mechanism(
             welfare=welfare(allocation, dict(bidders)),
             branch=SECOND_PRICE,
             value_queries=dict(log.value),
-            bidders=tuple(bidders),
         )
 
     flags = tape.sample_statistics_group(len(bidders))
@@ -461,18 +452,22 @@ def final_mechanism(
     # there are.
     return MechanismOutcome(
         value_queries=dict(log.value),
-        bidders=tuple(bidders),
         statistics_group=tuple(b for b, _ in stat),
         statistics_welfare=stat_welfare,
-        **_learning_run(mech, m, psi_min, psi_max, tape, alpha),
+        **_learning_run(mech, m, psi_min, psi_max, tape),
     )
 
 
 def bidder_utility(
     outcome: MechanismOutcome, bidder: int, true_valuation: Valuation
 ) -> Fraction:
-    """Quasi-linear utility: true value of the received bundle minus payment."""
-    if all(b != bidder for b, _ in outcome.bidders):
+    """Quasi-linear utility: true value of the received bundle minus payment.
+
+    Raises ``DomainError`` for a bidder the run never saw: one that neither
+    answered a value query nor sat in a learning group."""
+    if bidder not in outcome.value_queries and all(
+        bidder not in group for group in outcome.groups
+    ):
         raise DomainError(f"bidder {bidder} did not participate")
     bundle = outcome.allocation.bundle(bidder)
     return value_query(true_valuation, bundle) - outcome.allocation.payment(bidder)

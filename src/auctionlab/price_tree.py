@@ -25,6 +25,8 @@ from .rationals import RationalLike, as_rational
 
 ODD = "odd"
 EVEN = "even"
+# The tree arity, and the number of auctions per learning iteration.
+ALPHA = 2
 
 
 @dataclass(frozen=True)
@@ -96,12 +98,10 @@ def validate_parameter_equations(params: Params) -> None:
         )
 
 
-def solve_parameters(
-    psi_min: RationalLike, psi_max: RationalLike, alpha_default: int = 2
-) -> Params:
-    """Pick (alpha, beta, gamma) for a price range.
+def solve_parameters(psi_min: RationalLike, psi_max: RationalLike) -> Params:
+    """Pick (alpha, beta, gamma) for a price range from the range alone.
 
-    alpha is fixed; beta is the smallest integer >= 1 such that, with
+    alpha is ``ALPHA``; beta is the smallest integer >= 1 such that, with
     gamma = 20*alpha*beta, the tree capacity alpha^beta covers the resulting
     bin count. gamma grows with beta, so the bin count shrinks as the
     capacity grows and the search always terminates.
@@ -112,9 +112,9 @@ def solve_parameters(
     ratio = hi / lo
     beta = 1
     while True:
-        gamma = Fraction(20 * alpha_default * beta)
-        if alpha_default**beta >= ceil_log(gamma, ratio):
-            return Params(alpha_default, beta, gamma, lo, hi)
+        gamma = Fraction(20 * ALPHA * beta)
+        if ALPHA**beta >= ceil_log(gamma, ratio):
+            return Params(ALPHA, beta, gamma, lo, hi)
         beta += 1
 
 

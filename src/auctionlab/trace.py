@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .errors import DomainError, InvariantViolationError
 from .mechanism import MechanismOutcome, price_update
-from .oracle import OptimalSolution, welfare
+from .oracle import OptimalSolution
 from .price_tree import PriceTree, TreeNode
 
 ItemSet = frozenset[int]
@@ -88,10 +88,13 @@ def build_trace(
 ) -> AnalysisTrace:
     """Chase the analysis definitions for one recorded run.
 
-    ``optimal`` must have been computed over ``run.bidders`` in run order
-    (oracle bidder k is the k-th participant). Items the optimum assigns to
+    Bidders are matched by id: oracle bidder k is bidder id k, the way
+    ``Instance.bidders()`` numbers them, so ``optimal`` must have been
+    computed over the instance's valuations in order. A group id that is not
+    an oracle index raises ``DomainError``. Items the optimum assigns to
     bidders outside the run's groups (possible when tracing a top-level run
-    whose statistics group is ineligible) are never star items. The three
+    whose statistics group is ineligible) are never star items. Auction
+    welfares are read from the run's records. The three
     structural invariants (nested correct sets, partitioned demand sets,
     learned price below supporting price on correct items) and the per-run
     overestimate inequality are verified here and raise on violation.
@@ -102,19 +105,18 @@ def build_trace(
         )
     params = run.params
     m = len(optimal.supporting_prices)
-    n = len(run.bidders)
+    n = len(optimal.allocation.bundles)
 
-    # Map each item to the group (1-based) of its optimal owner.
+    # Map each item to the group (1-based) of its optimal owner. The
+    # optimum's allocation names each of its n bidders, and the marker n of
+    # an unassigned item is in no group.
     group_of: dict[int, int] = {}
     for gi, group in enumerate(run.groups, start=1):
         for b in group:
+            if not 0 <= b < n:
+                raise DomainError(f"group {gi}: bidder {b} is not an oracle index")
             group_of[b] = gi
-    owner_group = [
-        group_of.get(run.bidders[optimal.assignment[j]][0])
-        if optimal.assignment[j] < n
-        else None
-        for j in range(m)
-    ]
+    owner_group = [group_of.get(optimal.assignment[j]) for j in range(m)]
 
     q = optimal.supporting_prices
     star = frozenset(
@@ -191,11 +193,10 @@ def build_trace(
         ) != len(this.correct):
             raise InvariantViolationError("demand sets do not partition")
 
-        sold = []
-        welfares = []
-        for k, alloc in enumerate(record.allocations):
-            sold.append(frozenset(partition[k]) & alloc.allocated_items)
-            welfares.append(welfare(alloc, dict(run.bidders)))
+        sold = [
+            frozenset(partition[k]) & alloc.allocated_items
+            for k, alloc in enumerate(record.allocations)
+        ]
 
         sold_mass = sum(
             (this.q_vector[j] for k in range(params.alpha) for j in sold[k]),
@@ -214,7 +215,7 @@ def build_trace(
 
         change = nxt.correct_mass - this.correct_mass
         learnable = change >= -optimal.welfare / (3 * params.beta)
-        mean_welfare = sum(welfares, Fraction(0)) / params.alpha
+        mean_welfare = sum(record.welfares, Fraction(0)) / params.alpha
         allocatable = mean_welfare >= optimal.welfare / (
             200 * params.alpha * params.beta**2
         )
@@ -223,7 +224,7 @@ def build_trace(
                 level=i,
                 demand_partition=tuple(frozenset(p) for p in partition),
                 sold_in_partition=tuple(sold),
-                auction_welfares=tuple(welfares),
+                auction_welfares=record.welfares,
                 learnable_change=change,
                 learnable_realized=learnable,
                 allocatable_realized=allocatable,

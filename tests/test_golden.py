@@ -1,4 +1,4 @@
-"""Byte-identity of the CLI outputs on two fixed generated instances.
+"""Byte-identity of the CLI outputs on three fixed generated instances.
 
 The files under ``tests/golden/`` hold the instance files and what ``run``,
 ``trace`` and ``truthtest`` print and write for them. Any change to
@@ -15,6 +15,7 @@ import contextlib
 import io
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,11 @@ GOLDEN = Path(__file__).with_name("golden")
 SPECS = {
     "xos-6x8": GeneratorSpec(6, 8, "xos-random", seed=11),
     "budget-5x7": GeneratorSpec(5, 7, "budget-additive", seed=12),
+    # A wide value range gives beta = 2, so iteration-2 records, the range
+    # tree and the price update reach the bytes.
+    "additive-wide-6x8": GeneratorSpec(
+        6, 8, "additive", value_range=(Fraction("0.01"), Fraction(100000)), seed=1
+    ),
 }
 
 

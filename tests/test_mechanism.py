@@ -43,6 +43,7 @@ from auctionlab.mechanism import (
 from auctionlab.instances import Instance
 from auctionlab.oracle import welfare
 from auctionlab.price_tree import (
+    ALPHA,
     EVEN,
     ODD,
     build_bins,
@@ -50,7 +51,7 @@ from auctionlab.price_tree import (
     canonical_vectors,
     solve_parameters,
 )
-from auctionlab.valuations import additive, budget_additive, xos
+from auctionlab.valuations import additive, budget_additive, value_query, xos
 
 
 class ReferenceCoinTape:
@@ -412,25 +413,22 @@ class TestPriceLearningMechanism:
     def test_cached_tree_matches_fresh_build(self, psi_min, psi_max):
         bidders = random_bidders(random.Random(5), 4, 3)
         lo, hi = Fraction(psi_min), Fraction(psi_max)
-        for alpha in (2, 3):
-            fresh = solve_parameters(psi_min, psi_max, alpha)
-            for parity in (ODD, EVEN, ODD, EVEN):  # the repeats come from the cache
-                tree = build_modified_tree(build_bins(fresh), parity)
-                assert _range_tree(fresh, parity) == tree
-                for m in (0, 1, 3, 8):
-                    params, root, vectors, halves = _first_prices(lo, hi, alpha, parity, m)
-                    assert params == fresh
-                    assert root == (tree.root.price,) * m
-                    reference = canonical_vectors(tree, root, 1)
-                    assert vectors == tuple(reference)
-                    assert halves == tuple(_halve(v) for v in reference)
-                    assert len(halves) == alpha
-            for seed in range(6):
-                run = price_learning_mechanism(
-                    bidders, 3, psi_min, psi_max, CoinTape(seed), alpha=alpha
-                )
-                assert run.params == fresh
-                assert run.tree == build_modified_tree(build_bins(fresh), run.parity)
+        fresh = solve_parameters(psi_min, psi_max)
+        for parity in (ODD, EVEN, ODD, EVEN):  # the repeats come from the cache
+            tree = build_modified_tree(build_bins(fresh), parity)
+            assert _range_tree(fresh, parity) == tree
+            for m in (0, 1, 3, 8):
+                params, root, vectors, halves = _first_prices(lo, hi, parity, m)
+                assert params == fresh
+                assert root == (tree.root.price,) * m
+                reference = canonical_vectors(tree, root, 1)
+                assert vectors == tuple(reference)
+                assert halves == tuple(_halve(v) for v in reference)
+                assert len(halves) == ALPHA
+        for seed in range(6):
+            run = price_learning_mechanism(bidders, 3, psi_min, psi_max, CoinTape(seed))
+            assert run.params == fresh
+            assert run.tree == build_modified_tree(build_bins(fresh), run.parity)
 
     def test_stopped_run_allocates_only_from_that_iteration(self):
         rng = random.Random(1)
@@ -442,7 +440,7 @@ class TestPriceLearningMechanism:
                 continue
             seen_stop = True
             group = set(out.groups[out.stop_iteration - 1])
-            for b, _ in out.bidders:
+            for b, _ in bidders:
                 if b not in group:
                     assert out.allocation.bundle(b) == frozenset()
                     assert out.allocation.payment(b) == 0
@@ -458,9 +456,7 @@ class TestPriceLearningMechanism:
                 continue
             seen_complete = True
             assert len(out.learned_prices) == out.params.beta + 1
-            allocated = {
-                b for b, _ in out.bidders if out.allocation.bundle(b)
-            }
+            allocated = {b for b, _ in bidders if out.allocation.bundle(b)}
             assert allocated <= set(out.groups[-1])
         assert seen_complete
 
@@ -480,7 +476,7 @@ class TestPriceLearningMechanism:
             out = price_learning_mechanism(bidders, 3, 1, 10**6, CoinTape(seed))
             alpha = out.params.alpha
             assert all(c <= alpha for c in out.demand_queries.values())
-            assert out.total_demand_queries <= alpha * len(bidders)
+            assert sum(out.demand_queries.values()) <= alpha * len(bidders)
             reached = (
                 out.stop_iteration
                 if out.branch == LEARNING_STOPPED
@@ -541,17 +537,17 @@ class TestPricesByShape:
         assert len(ranges) >= 1000
         wide = 0
         for k, (lo, hi) in enumerate(ranges):
-            alpha, parity, m = rng.choice((2, 3)), rng.choice((ODD, EVEN)), rng.randint(0, 8)
-            fresh = solve_parameters(lo, hi, alpha)
+            parity, m = rng.choice((ODD, EVEN)), rng.randint(0, 8)
+            fresh = solve_parameters(lo, hi)
             wide += fresh.beta == 2
             tree = build_modified_tree(build_bins(fresh), parity)
-            params, root, vectors, halves = _first_prices(lo, hi, alpha, parity, m)
+            params, root, vectors, halves = _first_prices(lo, hi, parity, m)
             assert params == fresh
             assert root == (tree.root.price,) * m
             reference = canonical_vectors(tree, root, 1)
             assert vectors == tuple(reference)
             assert halves == tuple(_halve(v) for v in reference)
-            run = price_learning_mechanism([], m, lo, hi, CoinTape(k), alpha=alpha)
+            run = price_learning_mechanism([], m, lo, hi, CoinTape(k))
             assert run.tree == build_modified_tree(build_bins(fresh), run.parity)
         assert wide >= 150
 
@@ -562,7 +558,7 @@ class TestPricesByShape:
         for _ in range(50):
             a = Fraction(rng.randint(1, 10**6), rng.randint(1, 100))
             for parity in (ODD, EVEN):
-                _first_prices(a / 36, 8 * a, 2, parity, 6)
+                _first_prices(a / 36, 8 * a, parity, 6)
         assert _unit_tree.cache_info().misses == 2
 
     @pytest.mark.parametrize(
@@ -581,10 +577,10 @@ class TestPricesByShape:
         with pytest.raises(DomainError, match=message):
             price_learning_mechanism([], 2, psi_min, psi_max, CoinTape(0))
         with pytest.raises(DomainError, match=message):
-            _first_prices(Fraction(psi_min), Fraction(psi_max), 2, ODD, 2)
+            _first_prices(Fraction(psi_min), Fraction(psi_max), ODD, 2)
 
 
-def reference_final_mechanism(bidders, m, tape, alpha=2):
+def reference_final_mechanism(bidders, m, tape):
     """The top-level mechanism as it was built from the learning run's
     outcome through ``dataclasses.replace``: the reference for the outcome
     built once."""
@@ -596,7 +592,6 @@ def reference_final_mechanism(bidders, m, tape, alpha=2):
             welfare=welfare(allocation, dict(bidders)),
             branch=SECOND_PRICE,
             value_queries=dict(log.value),
-            bidders=tuple(bidders),
         )
     flags = tape.sample_statistics_group(len(bidders))
     stat = [b for b, f in zip(bidders, flags) if f]
@@ -607,11 +602,10 @@ def reference_final_mechanism(bidders, m, tape, alpha=2):
         psi_min, psi_max = stat_welfare / (m * m), 8 * stat_welfare
     else:
         psi_min = psi_max = Fraction(1)
-    inner = price_learning_mechanism(mech, m, psi_min, psi_max, tape, alpha=alpha)
+    inner = price_learning_mechanism(mech, m, psi_min, psi_max, tape)
     return replace(
         inner,
         value_queries=dict(log.value),
-        bidders=tuple(bidders),
         statistics_group=tuple(b for b, _ in stat),
         statistics_welfare=stat_welfare,
     )
@@ -769,7 +763,7 @@ class TestBidderUtility:
             welfare=Fraction(5),
             branch=LEARNING_COMPLETED,
             value_queries={},
-            bidders=((3, additive((5,))),),
+            groups=((3,),),
         )
         assert bidder_utility(out, 3, additive((5,))) == 4
 
@@ -787,6 +781,87 @@ class TestBidderUtility:
         out = final_mechanism([(0, additive((5,)))], 1, CoinTape(0))
         with pytest.raises(DomainError):
             bidder_utility(out, 17, additive((5,)))
+
+
+class TestRunRecord:
+    """Each auction is valued once, into its iteration's record, and the
+    outcome's welfare is read from there: the reference values every
+    allocation afresh with the reported valuations."""
+
+    def test_record_welfares_match_fresh_valuation(self):
+        rng = random.Random(13)
+        seen = set()
+        for seed in range(160):
+            n, m = rng.randint(1, 30), rng.randint(1, 3)
+            bidders = random_bidders(rng, n, m)
+            by_id = dict(bidders)
+            if seed % 2:
+                out = final_mechanism(bidders, m, CoinTape(seed))
+            else:
+                # [1, 10^6] gives beta = 2, where runs complete.
+                hi = rng.choice([Fraction(1), Fraction(40), Fraction(10**6)])
+                out = price_learning_mechanism(bidders, m, 1, hi, CoinTape(seed))
+            for record in out.iterations:
+                assert record.welfares == tuple(
+                    welfare(a, by_id) for a in record.allocations
+                )
+                seen.add(("sold", any(record.welfares)))
+            if out.branch == LEARNING_STOPPED:
+                assert out.welfare == out.iterations[-1].welfares[out.j_star - 1]
+            assert out.welfare == welfare(out.allocation, by_id)
+            seen.add((out.branch, out.params and out.params.beta))
+        assert {
+            ("sold", True),
+            (SECOND_PRICE, None),
+            (LEARNING_STOPPED, 1),
+            (LEARNING_STOPPED, 2),
+            (LEARNING_COMPLETED, 2),
+        } <= seen
+
+
+class TestParticipation:
+    """``bidder_utility`` reads the participants from the record: the keys of
+    ``value_queries`` and the members of ``groups``."""
+
+    def outcomes(self):
+        """One run of each kind, by name, with the bidders it ran on."""
+        runs = {}
+        bidders = random_bidders(random.Random(14), 3, 2)
+        for seed in range(200):
+            out = final_mechanism(bidders, 2, CoinTape(seed))
+            if out.branch == SECOND_PRICE:
+                kind = "second-price"
+            elif not out.statistics_group:
+                kind = "empty statistics group"
+            else:
+                kind = "stopped"
+            runs.setdefault(kind, (bidders, out))
+        crowd = random_bidders(random.Random(15), 24, 2)
+        for seed in range(60):
+            out = price_learning_mechanism(crowd, 2, 1, 10**6, CoinTape(seed))
+            runs.setdefault(f"direct {out.branch}", (crowd, out))
+        assert set(runs) == {
+            "second-price",
+            "stopped",
+            "empty statistics group",
+            f"direct {LEARNING_STOPPED}",
+            f"direct {LEARNING_COMPLETED}",
+        }
+        return runs
+
+    def test_every_participant_has_a_utility(self):
+        for kind, (bidders, out) in self.outcomes().items():
+            for b, v in bidders:
+                utility = bidder_utility(out, b, v)
+                assert utility == value_query(
+                    v, out.allocation.bundle(b)
+                ) - out.allocation.payment(b), kind
+
+    def test_unknown_bidder_on_every_branch(self):
+        for kind, (bidders, out) in self.outcomes().items():
+            for stranger in (-1, len(bidders), 999):
+                with pytest.raises(DomainError, match="did not participate"):
+                    bidder_utility(out, stranger, bidders[0][1])
 
 
 class TestUniversalTruthfulness:

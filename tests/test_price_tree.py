@@ -205,6 +205,52 @@ class TestCanonicalVectors:
             canonical_vectors(tree, (Fraction(1),), 3)
 
 
+# Ten bins at gamma = 2 in a ternary tree of depth 3: each parity keeps five
+# bins, and the nine leaves take them in ceil-split blocks of 2, 2, 1 and
+# then 1, 1, 0. Dummy leaves are priced psi_max * gamma^k, k = 1, 2, ...
+TERNARY = Params(3, 2, Fraction(2), Fraction(1), Fraction(1024))
+
+
+class TestTernaryTree:
+    @pytest.mark.parametrize(
+        "parity, leaf_bins, leaf_prices",
+        [
+            (
+                ODD,
+                [(1,), (3,), (), (5,), (7,), (), (9,), (), ()],
+                [1, 4, 2048, 16, 64, 4096, 256, 8192, 16384],
+            ),
+            (
+                EVEN,
+                [(2,), (4,), (), (6,), (8,), (), (10,), (), ()],
+                [2, 8, 2048, 32, 128, 4096, 512, 8192, 16384],
+            ),
+        ],
+    )
+    def test_leaf_spread(self, parity, leaf_bins, leaf_prices):
+        tree = build_modified_tree(build_bins(TERNARY), parity)
+        assert tree.depth == 3
+        assert [n.bin_indices for n in tree.leaves] == leaf_bins
+        assert [n.price for n in tree.leaves] == leaf_prices
+        assert all(len(n.children) == 3 for level in tree.levels[:-1] for n in level)
+
+    @pytest.mark.parametrize(
+        "parity, root_children, vector, refined",
+        [
+            (ODD, [1, 16, 256], (1, 16), [(1, 16), (4, 64), (2048, 4096)]),
+            (EVEN, [2, 32, 512], (2, 512), [(2, 512), (8, 8192), (2048, 16384)]),
+        ],
+    )
+    def test_canonical_vectors_have_three_children(
+        self, parity, root_children, vector, refined
+    ):
+        tree = build_modified_tree(build_bins(TERNARY), parity)
+        root = (tree.root.price,) * 2
+        assert canonical_vectors(tree, root, 1) == [(p, p) for p in root_children]
+        vector = tuple(Fraction(p) for p in vector)
+        assert canonical_vectors(tree, vector, 2) == refined
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     lo_num=st.integers(min_value=1, max_value=1000),

@@ -160,6 +160,18 @@ class TestBuildTrace:
         pytest.fail("no second-price run found")
 
 
+    @pytest.mark.parametrize("ids", [(0, 1, 3), (-1, 0, 1), (10, 11, 12)])
+    def test_group_id_outside_oracle_rejected(self, ids):
+        """Oracle bidder k is bidder id k; a run over other ids cannot be
+        matched to the optimum."""
+        valuations = [additive((3, 1)), additive((1, 3)), additive((2, 2))]
+        bidders = list(zip(ids, valuations))
+        optimal = brute_force_opt(valuations, 2)
+        run = price_learning_mechanism(bidders, 2, 1, 3, CoinTape(0))
+        with pytest.raises(DomainError, match="not an oracle index"):
+            build_trace(run, optimal, run.tree)
+
+
 class TestLearnableOrAllocatableReport:
     def test_beta_one_reports_single_iteration(self):
         bidders = [(i, additive((10, 20))) for i in range(4)]
