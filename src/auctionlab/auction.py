@@ -15,6 +15,7 @@ from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, InstanceShapeError, InvariantViolationError
+from .rationals import ZERO
 from .valuations import ItemSet, Valuation, demand_query, value_query
 
 PriceVector = tuple[Fraction, ...]
@@ -49,7 +50,7 @@ class Allocation:
         return self.bundles.get(bidder, frozenset())
 
     def payment(self, bidder: int) -> Fraction:
-        return self.payments.get(bidder, Fraction(0))
+        return self.payments.get(bidder, ZERO)
 
     @property
     def allocated_items(self) -> ItemSet:
@@ -60,7 +61,7 @@ class Allocation:
 
     @property
     def total_payments(self) -> Fraction:
-        return sum(self.payments.values(), Fraction(0))
+        return sum(self.payments.values(), ZERO)
 
 
 @dataclass

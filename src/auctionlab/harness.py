@@ -366,19 +366,17 @@ def _deviation(
     return on_grid(grid, [values], cap * (grid // budget.grid))
 
 
-def _query_budget_check(outcome: MechanismOutcome, n: int, seed: int) -> list[dict]:
-    """Demand queries past alpha per bidder or alpha * n in all."""
+def _query_budget_check(outcome: MechanismOutcome, seed: int) -> list[dict]:
+    """Bidders demand-queried more than alpha times, or at all outside the
+    learning groups: the statistics group gets no demand query."""
     if outcome.params is None:
         return []
-    alpha = outcome.params.alpha
-    bad = []
-    for bidder, count in outcome.demand_queries.items():
-        if count > alpha:
-            bad.append({"seed": seed, "bidder": bidder, "demand_queries": count})
-    total = sum(outcome.demand_queries.values())
-    if total > alpha * n:
-        bad.append({"seed": seed, "total_demand_queries": total})
-    return bad
+    grouped = {b for group in outcome.groups for b in group}
+    return [
+        {"seed": seed, "bidder": bidder, "demand_queries": count}
+        for bidder, count in outcome.demand_queries.items()
+        if count > outcome.params.alpha or bidder not in grouped
+    ]
 
 
 def instance_digest(instance: Instance) -> str:
@@ -415,7 +413,7 @@ def truthfulness_report(
         raise DomainError("truthfulness sweep needs at least one bidder and item")
     rng = random.Random(deviation_seed)
     bidders = instance.bidders()
-    n, m = instance.bidder_count, instance.item_count
+    m = instance.item_count
     lo, hi = LIE_VALUE_RANGE
     entry = _log_uniform_cents(lo / 2, hi * 2)
     budget = _log_uniform_cents(lo / 2, hi * m)
@@ -430,7 +428,7 @@ def truthfulness_report(
         tape = CoinTape(seed)
         honest = final_mechanism(bidders, m, tape)
         runs += 1
-        budget_violations.extend(_query_budget_check(honest, n, seed))
+        budget_violations.extend(_query_budget_check(honest, seed))
         base = {
             b: bidder_utility(honest, b, v) for b, v in bidders
         }
@@ -442,7 +440,7 @@ def truthfulness_report(
                 outcome = final_mechanism(twisted, m, tape.replay())
                 runs += 1
                 checked += 1
-                budget_violations.extend(_query_budget_check(outcome, n, seed))
+                budget_violations.extend(_query_budget_check(outcome, seed))
                 utility = bidder_utility(outcome, b, truth)
                 if utility > base[b]:
                     violations.append(

@@ -31,6 +31,7 @@ from typing import Mapping, Sequence, Union
 
 from .auction import Allocation
 from .errors import CapabilityError, InstanceShapeError, InvariantViolationError
+from .rationals import ZERO
 from .valuations import (
     Valuation,
     bundle_value_table,
@@ -61,7 +62,7 @@ def welfare(
 ) -> Fraction:
     """Sum of each bidder's value for its bundle; bundles must be disjoint."""
     seen: set[int] = set()
-    total = Fraction(0)
+    total = ZERO
     lookup = (
         valuations if isinstance(valuations, Mapping) else dict(enumerate(valuations))
     )

@@ -16,12 +16,14 @@ real price ever belongs to them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import DomainError, InvariantViolationError
-from .rationals import RationalLike, as_rational
+from .rationals import RationalLike, as_rational, common_scale, scaled_ints
 
 ODD = "odd"
 EVEN = "even"
@@ -208,13 +210,53 @@ class PriceTree:
 
     def strong_node(self, price: Fraction, level: int) -> Optional[TreeNode]:
         """The node of 1-based ``level`` (1 = root, beta+1 = leaves) whose own
-        price, its smallest bin's, equals ``price``; None if there is none."""
+        price, its smallest bin's, equals ``price``; None if there is none.
+        The reference scan behind ``position``."""
         if not 1 <= level <= len(self.levels):
             raise DomainError(f"level {level} outside 1..{len(self.levels)}")
         for node in self.levels[level - 1]:
             if node.price == price:
                 return node
         return None
+
+    def position(self, price: Fraction, level: int) -> Optional[int]:
+        """The place of ``strong_node(price, level)`` in its level, or None.
+        In a tree of depth d, the node at place k of level l is the ancestor
+        of the leaves at places p with p // alpha^(d-l) == k."""
+        if not 1 <= level <= len(self.levels):
+            raise DomainError(f"level {level} outside 1..{len(self.levels)}")
+        return self._positions[level - 1].get(price.as_integer_ratio())
+
+    def leaf_of(self, price: Fraction) -> Optional[int]:
+        """The place of the leaf whose real bin holds ``price``, or None: the
+        nodes that ``belongs(price)`` are exactly this leaf's ancestors."""
+        grid, leaves, lowers, uppers = self._leaf_bins
+        num, den = price.as_integer_ratio()
+        # num/den >= b/grid iff floor(num * grid / den) >= b, for an integer b.
+        k = bisect_right(lowers, num * grid // den) - 1
+        above = num * grid - uppers[k] * den if k >= 0 else 1
+        if above < 0 or above == 0 and self.leaves[leaves[k]].cells[0].closed:
+            return leaves[k]
+        return None
+
+    @cached_property
+    def _positions(self) -> tuple[dict[tuple[int, int], int], ...]:
+        # Node prices within a level are distinct: each is its first bin's.
+        return tuple(
+            {node.price.as_integer_ratio(): k for k, node in enumerate(level)}
+            for level in self.levels
+        )
+
+    @cached_property
+    def _leaf_bins(self) -> tuple[int, list[int], list[int], list[int]]:
+        """The leaves holding a real bin, left to right and so in rising
+        price, and the lower and upper bounds of their bins on one grid."""
+        leaves = [k for k, leaf in enumerate(self.leaves) if leaf.bin_indices]
+        cells = [self.leaves[k].cells[0] for k in leaves]
+        grid = common_scale(b for c in cells for b in (c.price, c.upper))
+        lowers = scaled_ints([c.price for c in cells], grid)
+        uppers = scaled_ints([c.upper for c in cells], grid)
+        return grid, leaves, lowers, uppers
 
 
 def _spread(
@@ -286,15 +328,16 @@ def canonical_vectors(
         raise InvariantViolationError(
             f"level {level} has no children to refine into"
         )
+    nodes = tree.levels[level - 1]
     columns: list[tuple[Fraction, ...]] = []
     for j, price in enumerate(prices):
-        node = tree.strong_node(price, level)
-        if node is None:
+        k = tree.position(price, level)
+        if k is None:
             raise InvariantViolationError(
                 f"price {price} (coordinate {j}) strongly belongs to no "
                 f"level-{level} node"
             )
-        columns.append(tuple(child.price for child in node.children))
+        columns.append(tuple(child.price for child in nodes[k].children))
     return [
         tuple(columns[j][k] for j in range(len(prices)))
         for k in range(tree.params.alpha)

@@ -13,6 +13,8 @@ from math import lcm
 from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
+# One shared zero for empty sums and absent payments: Fractions are immutable.
+ZERO = Fraction(0)
 
 
 def as_rational(value: RationalLike) -> Fraction:

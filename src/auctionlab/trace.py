@@ -29,6 +29,12 @@ never asserted.
 For a run that stopped mid-way, the price vector the stopped iteration would
 have produced is reconstructed from its recorded auctions so that the
 iteration's diagnostics still exist.
+
+Each price is located once, a supporting price by its leaf
+(``PriceTree.leaf_of``) and a learned price by its node's place in the level
+(``PriceTree.position``), and membership is integer arithmetic on places.
+Masses are summed as integers on the lcm grid of the supporting prices, with
+one ``Fraction`` per reported value.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ from typing import Sequence
 from .errors import DomainError, InvariantViolationError
 from .mechanism import MechanismOutcome, price_update
 from .oracle import OptimalSolution
-from .price_tree import PriceTree, TreeNode
+from .price_tree import PriceTree
+from .rationals import ZERO, common_scale, scaled_ints
 
 ItemSet = frozenset[int]
 
@@ -119,10 +126,13 @@ def build_trace(
     owner_group = [group_of.get(optimal.assignment[j]) for j in range(m)]
 
     q = optimal.supporting_prices
-    star = frozenset(
-        j for j in range(m) if owner_group[j] is not None and tree.root.belongs(q[j])
-    )
-    q_star = tuple(q[j] if j in star else Fraction(0) for j in range(m))
+    located = {j: tree.leaf_of(q[j]) for j in range(m) if owner_group[j] is not None}
+    leaf = {j: k for j, k in located.items() if k is not None}
+    star = frozenset(leaf)
+    q_star = tuple(q[j] if j in star else ZERO for j in range(m))
+    grid = common_scale(q_star)
+    mass = scaled_ints(q_star, grid)
+    wnum, wden = optimal.welfare.as_integer_ratio()
 
     # Learned price vectors, extended past a stop coin for diagnostics.
     prices = list(run.learned_prices)
@@ -130,31 +140,23 @@ def build_trace(
         last = run.iterations[-1]
         prices.append(price_update(last.allocations, last.vectors))
 
-    def q_vector(level: int) -> tuple[Fraction, ...]:
-        return tuple(
-            q_star[j]
-            if owner_group[j] is not None and owner_group[j] >= level
-            else Fraction(0)
-            for j in range(m)
-        )
-
     levels: list[LevelTrace] = []
+    level_mass: list[int] = []
     refined = star
-    strong_nodes: list[dict[int, TreeNode]] = []
     for level in range(1, len(prices) + 1):
         vector = prices[level - 1]
-        nodes = {}
-        for j in range(m):
-            node = tree.strong_node(vector[j], level)
-            if node is None:
-                raise InvariantViolationError(
-                    f"learned price {vector[j]} is not a level-{level} price"
-                )
-            nodes[j] = node
-        strong_nodes.append(nodes)
-        refined = frozenset(j for j in refined if nodes[j].belongs(q_star[j]))
-        qv = q_vector(level)
-        correct = frozenset(j for j in refined if qv[j] != 0)
+        at = [tree.position(price, level) for price in vector]
+        if None in at:
+            raise InvariantViolationError(
+                f"learned price {vector[at.index(None)]} is not a level-{level} price"
+            )
+        stride = params.alpha ** (tree.depth - level)
+        refined = frozenset(j for j in refined if leaf[j] // stride == at[j])
+        qv = tuple(
+            q_star[j] if j in star and owner_group[j] >= level else ZERO
+            for j in range(m)
+        )
+        correct = frozenset(j for j in refined if owner_group[j] >= level)
         for j in correct:
             if not vector[j] <= qv[j]:
                 raise InvariantViolationError(
@@ -163,13 +165,14 @@ def build_trace(
                 )
         if levels and not correct <= levels[-1].correct:
             raise InvariantViolationError("correct sets are not nested")
+        level_mass.append(sum(mass[j] for j in correct))
         levels.append(
             LevelTrace(
                 level=level,
                 q_vector=qv,
                 refinement_correct=refined,
                 correct=correct,
-                correct_mass=sum((qv[j] for j in correct), Fraction(0)),
+                correct_mass=Fraction(level_mass[-1], grid),
             )
         )
 
@@ -177,17 +180,11 @@ def build_trace(
     for record in run.iterations:
         i = record.level
         this, nxt = levels[i - 1], levels[i]
-        nodes = strong_nodes[i - 1]
 
+        stride = params.alpha ** (tree.depth - i - 1)
         partition: list[set[int]] = [set() for _ in range(params.alpha)]
         for j in this.correct:
-            children = nodes[j].children
-            homes = [k for k, child in enumerate(children) if child.belongs(q_star[j])]
-            if len(homes) != 1:
-                raise InvariantViolationError(
-                    f"item {j} belongs to {len(homes)} children of its node"
-                )
-            partition[homes[0]].add(j)
+            partition[leaf[j] // stride % params.alpha].add(j)
         if frozenset().union(*partition) != this.correct or sum(
             len(p) for p in partition
         ) != len(this.correct):
@@ -198,24 +195,26 @@ def build_trace(
             for k, alloc in enumerate(record.allocations)
         ]
 
-        sold_mass = sum(
-            (this.q_vector[j] for k in range(params.alpha) for j in sold[k]),
-            Fraction(0),
-        )
+        # Both masses are of this level's q_vector: q on the items of groups
+        # i and later, which every sold item, being correct at level i, is.
+        sold_mass = sum(mass[j] for items in sold for j in items)
         kept_mass = sum(
-            (this.q_vector[j] for j in nxt.refinement_correct), Fraction(0)
+            mass[j] for j in nxt.refinement_correct if owner_group[j] >= i
         )
-        bound = optimal.welfare / (10 * params.beta)
-        overestimate_ok = kept_mass >= sold_mass - bound
+        # kept >= sold - OPT / (10 beta), both sides times 10 beta * wden * grid.
+        overestimate_ok = (sold_mass - kept_mass) * 10 * params.beta * wden <= (
+            wnum * grid
+        )
         if not overestimate_ok:
             raise InvariantViolationError(
-                f"iteration {i} overestimate accounting failed: kept {kept_mass} "
-                f"< sold {sold_mass} - {bound}"
+                f"iteration {i} overestimate accounting failed: kept "
+                f"{Fraction(kept_mass, grid)} < sold {Fraction(sold_mass, grid)} "
+                f"- {optimal.welfare / (10 * params.beta)}"
             )
 
-        change = nxt.correct_mass - this.correct_mass
-        learnable = change >= -optimal.welfare / (3 * params.beta)
-        mean_welfare = sum(record.welfares, Fraction(0)) / params.alpha
+        change = level_mass[i] - level_mass[i - 1]
+        learnable = change * 3 * params.beta * wden >= -wnum * grid
+        mean_welfare = sum(record.welfares, ZERO) / params.alpha
         allocatable = mean_welfare >= optimal.welfare / (
             200 * params.alpha * params.beta**2
         )
@@ -225,7 +224,7 @@ def build_trace(
                 demand_partition=tuple(frozenset(p) for p in partition),
                 sold_in_partition=tuple(sold),
                 auction_welfares=record.welfares,
-                learnable_change=change,
+                learnable_change=Fraction(change, grid),
                 learnable_realized=learnable,
                 allocatable_realized=allocatable,
                 overestimate_ok=overestimate_ok,

@@ -33,7 +33,7 @@ from auctionlab.instances import (
     instance_to_dict,
     load_instance,
 )
-from auctionlab.mechanism import SECOND_PRICE, CoinTape, bidder_utility
+from auctionlab.mechanism import SECOND_PRICE, CoinTape, bidder_utility, final_mechanism
 from auctionlab.rationals import format_rational
 from auctionlab.valuations import additive, budget_additive, xos
 
@@ -371,6 +371,55 @@ class TestTruthfulnessReport:
             lying = free_grand_bundle(twisted, m, CoinTape(seed))
             gain = bidder_utility(lying, b, truth) - bidder_utility(honest, b, truth)
             assert format_rational(gain) == violation["gain"]
+
+    def test_demand_query_outside_groups_reported(self, monkeypatch):
+        """A planted mechanism that demand-queries one statistics-group
+        bidder once, within the per-bidder budget of alpha, breaks the
+        mechanism's rule that only learning groups are demand-queried; the
+        sweep reports that bidder on every learning run that sampled one."""
+        real = harness.final_mechanism
+        planted = []
+
+        def query_statistics_group(bidders, m, tape):
+            outcome = real(bidders, m, tape)
+            if not outcome.statistics_group:
+                return outcome
+            stray = outcome.statistics_group[0]
+            planted.append(stray)
+            return replace(
+                outcome, demand_queries={**outcome.demand_queries, stray: 1}
+            )
+
+        monkeypatch.setattr(harness, "final_mechanism", query_statistics_group)
+        inst = generate_instance(GeneratorSpec(3, 2, seed=14))
+        report = truthfulness_report(inst, seeds=4, deviations=3)
+        assert planted
+        assert not report.clean
+        assert sorted(v["bidder"] for v in report.query_budget_violations) == sorted(
+            planted
+        )
+        for violation in report.query_budget_violations:
+            assert set(violation) == {"seed", "bidder", "demand_queries"}
+            assert violation["demand_queries"] == 1
+
+    def test_query_budget_check_on_planted_outcomes(self):
+        inst = generate_instance(GeneratorSpec(6, 3, seed=3))
+        for seed in range(40):
+            outcome = final_mechanism(inst.bidders(), 3, CoinTape(seed))
+            assert harness._query_budget_check(outcome, seed) == []
+            if outcome.params is None:
+                continue
+            alpha = outcome.params.alpha
+            grouped = sorted(b for group in outcome.groups for b in group)
+            over = replace(outcome, demand_queries={grouped[0]: alpha + 1})
+            assert harness._query_budget_check(over, seed) == [
+                {"seed": seed, "bidder": grouped[0], "demand_queries": alpha + 1}
+            ]
+            for stray in (*outcome.statistics_group, 6, -1):
+                outside = replace(outcome, demand_queries={stray: 1})
+                assert harness._query_budget_check(outside, seed) == [
+                    {"seed": seed, "bidder": stray, "demand_queries": 1}
+                ]
 
     def test_deviations_match_reference(self):
         for (lo, hi), m in itertools.product(DRAW_RANGES, range(1, 7)):

@@ -162,6 +162,8 @@ class TestBelonging:
         for level in (0, tree.depth + 1):
             with pytest.raises(DomainError):
                 tree.strong_node(Fraction(1), level)
+            with pytest.raises(DomainError):
+                tree.position(Fraction(1), level)
 
     def test_above_range_belongs_nowhere(self):
         tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
@@ -174,6 +176,77 @@ class TestBelonging:
         assert all(
             not node.belongs(Fraction(5)) for level in tree.levels for node in level
         )  # 5 sits in B2
+
+
+def random_params(rng):
+    """Hand-made parameters: alpha 2 at beta 1-4 or alpha 3 at beta 1-3, a
+    gamma and a floor off the integers, and from 1 bin up to as many as one
+    parity's leaves hold, with psi_max anywhere in the last bin (or equal to
+    psi_min)."""
+    alpha, beta = rng.choice(((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)))
+    gamma = Fraction(rng.randint(3, 40), rng.randint(1, 2))
+    psi_min = Fraction(rng.randint(1, 500), rng.randint(1, 30))
+    t = rng.randint(1, 2 * alpha**beta)
+    last = psi_min * gamma ** (t - 1)
+    psi_max = last + (gamma - 1) * last * Fraction(rng.randint(0 if t == 1 else 1, 8), 8)
+    params = Params(alpha, beta, gamma, psi_min, psi_max)
+    assert params.bin_count == t
+    return params
+
+
+def lookup_probes(bins, tree):
+    """Prices on and beside every bin edge of both parities, inside every
+    bin, at and past the closed psi_max edge, below psi_min, at every node's
+    own price (dummies included) and between dummies, and two ints."""
+    params = bins.params
+    tiny = params.psi_min / 10**6
+    probes = [Fraction(0), -params.psi_min, params.psi_min / 2, 1, int(params.psi_max)]
+    for cell in bins.cells:
+        for edge in (cell.price, cell.upper):
+            probes += [edge, edge - tiny, edge + tiny]
+        probes.append((cell.price + cell.upper) / 2)
+    probes += [params.psi_max, params.psi_max + tiny, params.psi_max * params.gamma]
+    for level in tree.levels:
+        for node in level:
+            probes += [node.price, node.price * params.gamma + tiny]
+    return probes
+
+
+@pytest.mark.parametrize("parity", [ODD, EVEN])
+def test_lookups_match_scans(parity):
+    """``leaf_of`` against ``belongs`` and ``position`` against
+    ``strong_node``, on random trees at beta 1-4: the nodes a price belongs
+    to are exactly its leaf's ancestors, the leaf's place divided by
+    alpha^(depth-l); a node's child holding the leaf is the quotient by
+    alpha^(depth-l-1) modulo alpha; and ``position`` names the node that
+    ``strong_node`` finds."""
+    rng = random.Random(11 if parity == ODD else 12)
+    trees = [random_params(rng) for _ in range(60)]
+    trees += [
+        solve_parameters(lo, lo * Fraction(rng.randint(1, 10**6)) ** e)
+        for lo in (Fraction(1), Fraction(37, 3))
+        for e in (1, 2, 3, 4)
+    ]
+    located = set()
+    for params in trees:
+        bins = build_bins(params)
+        tree = build_modified_tree(bins, parity)
+        alpha, depth = params.alpha, tree.depth
+        for price in lookup_probes(bins, tree):
+            leaf = tree.leaf_of(price)
+            located.add((params.beta, leaf is not None))
+            for level, nodes in enumerate(tree.levels, start=1):
+                homes = [k for k, node in enumerate(nodes) if node.belongs(price)]
+                stride = alpha ** (depth - level)
+                assert homes == ([] if leaf is None else [leaf // stride]), price
+                if leaf is not None and level < depth:
+                    child = nodes[leaf // stride].children[leaf // (stride // alpha) % alpha]
+                    assert child is tree.levels[level][leaf // (stride // alpha)]
+                node = tree.strong_node(price, level)
+                k = tree.position(price, level)
+                assert (k is None) == (node is None), price
+                assert node is None or nodes[k] is node
+    assert located == {(beta, found) for beta in (1, 2, 3, 4) for found in (True, False)}
 
 
 CANON = Params(2, 2, Fraction(2), Fraction(1), Fraction(200))  # t = 8

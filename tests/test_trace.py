@@ -1,20 +1,28 @@
 """Analysis-trace reconstruction against the oracle."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from auctionlab.errors import DomainError
+from auctionlab.errors import DomainError, InvariantViolationError
 from auctionlab.harness import FAMILIES, GeneratorSpec, generate_instance
 from auctionlab.mechanism import (
     SECOND_PRICE,
     CoinTape,
     final_mechanism,
     price_learning_mechanism,
+    price_update,
 )
 from auctionlab.oracle import brute_force_opt
-from auctionlab.trace import build_trace, check_learnable_or_allocatable
+from auctionlab.trace import (
+    AnalysisTrace,
+    IterationDiagnostics,
+    LevelTrace,
+    build_trace,
+    check_learnable_or_allocatable,
+)
 from auctionlab.valuations import additive, budget_additive, xos
 
 
@@ -59,7 +67,210 @@ def random_bidders(rng, n, m, hi=100):
     return out
 
 
+def reference_build_trace(run, optimal, tree):
+    """``build_trace`` as it was before the price-tree lookups: every
+    membership is a ``TreeNode.belongs`` or ``PriceTree.strong_node`` scan of
+    Fraction bounds, and every mass a Fraction sum."""
+    if not run.iterations or run.params is None:
+        raise DomainError(
+            "the run carries no learning history (second-price branch?)"
+        )
+    params = run.params
+    m = len(optimal.supporting_prices)
+    n = len(optimal.allocation.bundles)
+
+    # Map each item to the group (1-based) of its optimal owner. The
+    # optimum's allocation names each of its n bidders, and the marker n of
+    # an unassigned item is in no group.
+    group_of = {}
+    for gi, group in enumerate(run.groups, start=1):
+        for b in group:
+            if not 0 <= b < n:
+                raise DomainError(f"group {gi}: bidder {b} is not an oracle index")
+            group_of[b] = gi
+    owner_group = [group_of.get(optimal.assignment[j]) for j in range(m)]
+
+    q = optimal.supporting_prices
+    star = frozenset(
+        j for j in range(m) if owner_group[j] is not None and tree.root.belongs(q[j])
+    )
+    q_star = tuple(q[j] if j in star else Fraction(0) for j in range(m))
+
+    # Learned price vectors, extended past a stop coin for diagnostics.
+    prices = list(run.learned_prices)
+    if len(prices) == len(run.iterations):
+        last = run.iterations[-1]
+        prices.append(price_update(last.allocations, last.vectors))
+
+    def q_vector(level: int) -> tuple[Fraction, ...]:
+        return tuple(
+            q_star[j]
+            if owner_group[j] is not None and owner_group[j] >= level
+            else Fraction(0)
+            for j in range(m)
+        )
+
+    levels = []
+    refined = star
+    strong_nodes = []
+    for level in range(1, len(prices) + 1):
+        vector = prices[level - 1]
+        nodes = {}
+        for j in range(m):
+            node = tree.strong_node(vector[j], level)
+            if node is None:
+                raise InvariantViolationError(
+                    f"learned price {vector[j]} is not a level-{level} price"
+                )
+            nodes[j] = node
+        strong_nodes.append(nodes)
+        refined = frozenset(j for j in refined if nodes[j].belongs(q_star[j]))
+        qv = q_vector(level)
+        correct = frozenset(j for j in refined if qv[j] != 0)
+        for j in correct:
+            if not vector[j] <= qv[j]:
+                raise InvariantViolationError(
+                    f"correctly priced item {j} has learned price {vector[j]} "
+                    f"above supporting price {qv[j]}"
+                )
+        if levels and not correct <= levels[-1].correct:
+            raise InvariantViolationError("correct sets are not nested")
+        levels.append(
+            LevelTrace(
+                level=level,
+                q_vector=qv,
+                refinement_correct=refined,
+                correct=correct,
+                correct_mass=sum((qv[j] for j in correct), Fraction(0)),
+            )
+        )
+
+    iterations = []
+    for record in run.iterations:
+        i = record.level
+        this, nxt = levels[i - 1], levels[i]
+        nodes = strong_nodes[i - 1]
+
+        partition = [set() for _ in range(params.alpha)]
+        for j in this.correct:
+            children = nodes[j].children
+            homes = [k for k, child in enumerate(children) if child.belongs(q_star[j])]
+            if len(homes) != 1:
+                raise InvariantViolationError(
+                    f"item {j} belongs to {len(homes)} children of its node"
+                )
+            partition[homes[0]].add(j)
+        if frozenset().union(*partition) != this.correct or sum(
+            len(p) for p in partition
+        ) != len(this.correct):
+            raise InvariantViolationError("demand sets do not partition")
+
+        sold = [
+            frozenset(partition[k]) & alloc.allocated_items
+            for k, alloc in enumerate(record.allocations)
+        ]
+
+        sold_mass = sum(
+            (this.q_vector[j] for k in range(params.alpha) for j in sold[k]),
+            Fraction(0),
+        )
+        kept_mass = sum(
+            (this.q_vector[j] for j in nxt.refinement_correct), Fraction(0)
+        )
+        bound = optimal.welfare / (10 * params.beta)
+        overestimate_ok = kept_mass >= sold_mass - bound
+        if not overestimate_ok:
+            raise InvariantViolationError(
+                f"iteration {i} overestimate accounting failed: kept {kept_mass} "
+                f"< sold {sold_mass} - {bound}"
+            )
+
+        change = nxt.correct_mass - this.correct_mass
+        learnable = change >= -optimal.welfare / (3 * params.beta)
+        mean_welfare = sum(record.welfares, Fraction(0)) / params.alpha
+        allocatable = mean_welfare >= optimal.welfare / (
+            200 * params.alpha * params.beta**2
+        )
+        iterations.append(
+            IterationDiagnostics(
+                level=i,
+                demand_partition=tuple(frozenset(p) for p in partition),
+                sold_in_partition=tuple(sold),
+                auction_welfares=record.welfares,
+                learnable_change=change,
+                learnable_realized=learnable,
+                allocatable_realized=allocatable,
+                overestimate_ok=overestimate_ok,
+            )
+        )
+
+    return AnalysisTrace(
+        star_items=star,
+        q_star=q_star,
+        opt_welfare=optimal.welfare,
+        levels=tuple(levels),
+        iterations=tuple(iterations),
+    )
+
+
+def differential_runs():
+    """Recorded learning runs with their optimum, at beta 1, 2 and 3:
+    generated instances of every family over narrow and wide value ranges,
+    traced on the supporting-price window the CLI uses, on that window
+    widened 1000-fold each way and on [1, 10^9], and top-level runs, whose
+    statistics group owns items that are never star items."""
+    rng = random.Random(9)
+    ranges = [("0.01", "100"), ("0.000001", "1000000"), ("1", "100000")]
+    for k in range(24):
+        n = rng.randint(2, 60)
+        m = rng.randint(3, 4 if n > 30 else 5 if n > 12 else 7)
+        spec = GeneratorSpec(
+            n,
+            m,
+            FAMILIES[k % len(FAMILIES)],
+            value_range=tuple(Fraction(x) for x in ranges[k % len(ranges)]),
+            seed=rng.randrange(2**31),
+        )
+        inst = generate_instance(spec)
+        optimal = brute_force_opt(list(inst.valuations), m)
+        positive = [q for q in optimal.supporting_prices if q > 0]
+        lo, hi = min(positive, default=Fraction(1)), max(positive, default=Fraction(1))
+        for window in ((lo, hi), (lo / 1000, hi * 1000), (1, 10**9)):
+            for seed in range(8):
+                tape = CoinTape(seed)
+                yield price_learning_mechanism(inst.bidders(), m, *window, tape), optimal
+        for seed in range(8):
+            run = final_mechanism(inst.bidders(), m, CoinTape(seed))
+            if run.branch != SECOND_PRICE:
+                yield run, optimal
+
+
 class TestBuildTrace:
+    def test_matches_reference_trace(self):
+        """The whole trace on price-tree positions equals the one from the
+        membership scans, on random runs at beta 1, 2 and 3."""
+        reached = set()
+        for run, optimal in differential_runs():
+            trace = build_trace(run, optimal, run.tree)
+            assert trace == reference_build_trace(run, optimal, run.tree)
+            reached.add((run.params.beta, len(trace.iterations)))
+        for beta in (1, 2, 3):
+            assert {(beta, i) for i in range(1, beta + 1)} <= reached, beta
+
+    def test_off_level_price_rejected_as_by_reference(self):
+        """A learned price that is no node's price at its level raises the
+        same error as the reference scan."""
+        for run, optimal in differential_runs():
+            first = run.learned_prices[0]
+            bad = replace(run, learned_prices=(first[:-1] + (first[-1] * 3,),))
+            with pytest.raises(InvariantViolationError) as fast:
+                build_trace(bad, optimal, run.tree)
+            with pytest.raises(InvariantViolationError) as slow:
+                reference_build_trace(bad, optimal, run.tree)
+            assert str(fast.value) == str(slow.value)
+            assert "is not a level-1 price" in str(fast.value)
+            break
+
     def test_star_set_empty_when_prices_have_wrong_parity(self):
         # the only supporting price is 5, which lies in bin 2 of [1, 16] at
         # gamma = 40... instead force it by scanning seeds for the parity
