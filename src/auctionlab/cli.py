@@ -106,11 +106,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     rows = [TRACE_CSV_HEADER]
     params = None
     for seed in range(args.seeds):
-        run = price_learning_mechanism(
-            instance.bidders(), instance.item_count, psi_min, psi_max, CoinTape(seed)
-        )
+        try:
+            run = price_learning_mechanism(
+                instance.bidders(), instance.item_count, psi_min, psi_max, CoinTape(seed)
+            )
+            trace = build_trace(run, optimal, run.tree)
+        except InvariantViolationError as exc:
+            # Seeds run from 0, so --seeds seed+1 replays the failure.
+            raise InvariantViolationError(f"seed {seed}: {exc}") from exc
         params = run.params
-        trace = build_trace(run, optimal, run.tree)
         traces.append(trace)
         for diag in trace.iterations:
             level = trace.level(diag.level)

@@ -21,6 +21,7 @@ from .mechanism import (
     CoinTape,
     MechanismOutcome,
     bidder_utility,
+    check_market,
     final_mechanism,
     sha256,
 )
@@ -269,9 +270,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     The optimum comes from the exact oracle; requesting the ratio on an
     instance beyond the oracle cap raises ``CapabilityError`` (rerun with
     ``measure_ratio=False`` for welfare-only reports). Convention: a zero
-    optimum reports ratio 1.
+    optimum reports ratio 1. An instance outside the mechanism's domain is
+    refused before the oracle runs.
     """
     instance = config.instance
+    check_market(instance.bidders(), instance.item_count)
     opt: Optional[Fraction] = None
     if config.measure_ratio:
         opt = brute_force_opt(

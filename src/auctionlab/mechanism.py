@@ -306,10 +306,10 @@ def _first_prices(
     params = Params(
         unit_params.alpha, unit_params.beta, unit_params.gamma, psi_min, psi_max
     )
-    children = [psi_min * child.price for child in unit.root.children]
+    children = [psi_min * price for price in unit.prices(2)]
     return (
         params,
-        (psi_min * unit.root.price,) * m,
+        (psi_min * unit.prices(1)[0],) * m,
         tuple((p,) * m for p in children),
         tuple((p / 2,) * m for p in children),
     )

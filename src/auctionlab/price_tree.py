@@ -5,6 +5,10 @@ spanning a factor gamma. A *price tree* arranges a retained subset of these
 bins into a perfect alpha-ary tree with beta+1 levels (root = level 1,
 leaves = level beta+1): every level partitions the retained bins at a coarser
 or finer granularity, and a node's price is the price of its smallest bin.
+Such a tree is fixed by its row of alpha^beta leaf cells, which is all a
+``PriceTree`` holds: a node is a block of contiguous leaves, its price is its
+first leaf's, and ``PriceTree.prices(level)`` reads a level's node prices off
+the leaves.
 
 *Modified* trees retain only the odd- or even-indexed bins, so prices sitting
 in different nodes of the same level are at least a factor gamma apart; the
@@ -168,91 +172,74 @@ def build_bins(params: Params) -> Bins:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    cells: tuple[BinCell, ...]
-    children: tuple["TreeNode", ...]
-
-    @property
-    def price(self) -> Fraction:
-        return self.cells[0].price
-
-    @property
-    def bin_indices(self) -> tuple[int, ...]:
-        """1-based indices of the real bins under this node."""
-        return tuple(c.index for c in self.cells if c.index is not None)
-
-    def belongs(self, price: Fraction) -> bool:
-        """True iff the price falls inside one of the node's real bins."""
-        return any(c.contains(price) for c in self.cells)
-
-
-@dataclass(frozen=True)
 class PriceTree:
     """A perfect alpha-ary discretization tree over the bins of one parity,
-    "odd" or "even". ``levels[i]`` holds the nodes of level i+1 left to right.
+    "odd" or "even", held as its alpha^beta leaf cells, left to right and
+    dummies included. In a tree of depth d = beta+1, the node at place k of
+    level l (1 = root, d = leaves) spans the leaves at places p with
+    p // alpha^(d-l) == k, and its price is its first leaf's.
     """
 
     params: Params
     parity: str
-    levels: tuple[tuple[TreeNode, ...], ...]
-
-    @property
-    def root(self) -> TreeNode:
-        return self.levels[0][0]
-
-    @property
-    def leaves(self) -> tuple[TreeNode, ...]:
-        return self.levels[-1]
+    leaves: tuple[BinCell, ...]
 
     @property
     def depth(self) -> int:
-        return len(self.levels)
+        return self.params.beta + 1
 
-    def strong_node(self, price: Fraction, level: int) -> Optional[TreeNode]:
-        """The node of 1-based ``level`` (1 = root, beta+1 = leaves) whose own
-        price, its smallest bin's, equals ``price``; None if there is none.
-        The reference scan behind ``position``."""
-        if not 1 <= level <= len(self.levels):
-            raise DomainError(f"level {level} outside 1..{len(self.levels)}")
-        for node in self.levels[level - 1]:
-            if node.price == price:
-                return node
-        return None
+    def ancestor(self, leaf: int, level: int) -> int:
+        """The place of the level-``level`` ancestor of the leaf at ``leaf``."""
+        return leaf // self.params.alpha ** (self.depth - level)
+
+    def prices(self, level: int) -> tuple[Fraction, ...]:
+        """The node prices of 1-based ``level``, left to right."""
+        return self._prices[self._row(level)]
 
     def position(self, price: Fraction, level: int) -> Optional[int]:
-        """The place of ``strong_node(price, level)`` in its level, or None.
-        In a tree of depth d, the node at place k of level l is the ancestor
-        of the leaves at places p with p // alpha^(d-l) == k."""
-        if not 1 <= level <= len(self.levels):
-            raise DomainError(f"level {level} outside 1..{len(self.levels)}")
-        return self._positions[level - 1].get(price.as_integer_ratio())
+        """The place of the level-``level`` node whose own price equals
+        ``price``, or None."""
+        return self._positions[self._row(level)].get(price.as_integer_ratio())
 
     def leaf_of(self, price: Fraction) -> Optional[int]:
         """The place of the leaf whose real bin holds ``price``, or None: the
-        nodes that ``belongs(price)`` are exactly this leaf's ancestors."""
+        nodes whose leaves hold ``price`` are exactly this leaf's ancestors."""
         grid, leaves, lowers, uppers = self._leaf_bins
         num, den = price.as_integer_ratio()
         # num/den >= b/grid iff floor(num * grid / den) >= b, for an integer b.
         k = bisect_right(lowers, num * grid // den) - 1
         above = num * grid - uppers[k] * den if k >= 0 else 1
-        if above < 0 or above == 0 and self.leaves[leaves[k]].cells[0].closed:
+        if above < 0 or above == 0 and self.leaves[leaves[k]].closed:
             return leaves[k]
         return None
 
+    def _row(self, level: int) -> int:
+        if not 1 <= level <= self.depth:
+            raise DomainError(f"level {level} outside 1..{self.depth}")
+        return level - 1
+
+    @cached_property
+    def _prices(self) -> tuple[tuple[Fraction, ...], ...]:
+        alpha, depth = self.params.alpha, self.depth
+        return tuple(
+            tuple(c.price for c in self.leaves[:: alpha ** (depth - level)])
+            for level in range(1, depth + 1)
+        )
+
     @cached_property
     def _positions(self) -> tuple[dict[tuple[int, int], int], ...]:
-        # Node prices within a level are distinct: each is its first bin's.
+        # Node prices within a level are distinct: each is its first leaf's.
         return tuple(
-            {node.price.as_integer_ratio(): k for k, node in enumerate(level)}
-            for level in self.levels
+            {price.as_integer_ratio(): k for k, price in enumerate(level)}
+            for level in self._prices
         )
 
     @cached_property
     def _leaf_bins(self) -> tuple[int, list[int], list[int], list[int]]:
         """The leaves holding a real bin, left to right and so in rising
         price, and the lower and upper bounds of their bins on one grid."""
-        leaves = [k for k, leaf in enumerate(self.leaves) if leaf.bin_indices]
-        cells = [self.leaves[k].cells[0] for k in leaves]
+        leaves = [k for k, cell in enumerate(self.leaves) if cell.index is not None]
+        cells = [self.leaves[k] for k in leaves]
         grid = common_scale(b for c in cells for b in (c.price, c.upper))
         lowers = scaled_ints([c.price for c in cells], grid)
         uppers = scaled_ints([c.upper for c in cells], grid)
@@ -300,18 +287,7 @@ def build_modified_tree(bins: Bins, parity: str) -> PriceTree:
             price = params.psi_max * params.gamma**dummy_counter
             leaf_cells.append(BinCell(None, price, price * params.gamma, False))
 
-    level = tuple(TreeNode((cell,), ()) for cell in leaf_cells)
-    levels = [level]
-    for _ in range(params.beta):
-        grouped = []
-        for k in range(0, len(level), params.alpha):
-            children = level[k : k + params.alpha]
-            cells = tuple(c for child in children for c in child.cells)
-            grouped.append(TreeNode(cells, children))
-        level = tuple(grouped)
-        levels.append(level)
-    levels.reverse()
-    return PriceTree(params, parity, tuple(levels))
+    return PriceTree(params, parity, tuple(leaf_cells))
 
 
 def canonical_vectors(
@@ -320,15 +296,16 @@ def canonical_vectors(
     """The alpha refinements of a level-``level`` price vector.
 
     Coordinate j of the k-th result is the price of the k-th child of the
-    level-``level`` node that prices[j] strongly belongs to. Every entry of
-    ``prices`` must strongly belong to some node of that level, and the level
-    must not be the leaf level.
+    level-``level`` node that prices[j] strongly belongs to, the node whose
+    own price it is. Every entry of ``prices`` must be the price of some node
+    of that level, and the level must not be the leaf level.
     """
     if level >= tree.depth:
         raise InvariantViolationError(
             f"level {level} has no children to refine into"
         )
-    nodes = tree.levels[level - 1]
+    children = tree.prices(level + 1)
+    alpha = tree.params.alpha
     columns: list[tuple[Fraction, ...]] = []
     for j, price in enumerate(prices):
         k = tree.position(price, level)
@@ -337,8 +314,7 @@ def canonical_vectors(
                 f"price {price} (coordinate {j}) strongly belongs to no "
                 f"level-{level} node"
             )
-        columns.append(tuple(child.price for child in nodes[k].children))
+        columns.append(children[k * alpha : (k + 1) * alpha])
     return [
-        tuple(columns[j][k] for j in range(len(prices)))
-        for k in range(tree.params.alpha)
+        tuple(columns[j][k] for j in range(len(prices))) for k in range(alpha)
     ]

@@ -30,9 +30,11 @@ For a run that stopped mid-way, the price vector the stopped iteration would
 have produced is reconstructed from its recorded auctions so that the
 iteration's diagnostics still exist.
 
-Each price is located once, a supporting price by its leaf
-(``PriceTree.leaf_of``) and a learned price by its node's place in the level
-(``PriceTree.position``), and membership is integer arithmetic on places.
+The price tree is a row of leaf cells, and a node is a block of them. Each
+price is located once, a supporting price by its leaf (``PriceTree.leaf_of``)
+and a learned price by its node's place in the level
+(``PriceTree.position``). The node of a supporting price at any level is its
+leaf's ancestor there (``PriceTree.ancestor``), so membership compares places.
 Masses are summed as integers on the lcm grid of the supporting prices, with
 one ``Fraction`` per reported value.
 """
@@ -111,6 +113,8 @@ def build_trace(
             "the run carries no learning history (second-price branch?)"
         )
     params = run.params
+    alpha = params.alpha
+    ancestor = tree.ancestor
     m = len(optimal.supporting_prices)
     n = len(optimal.allocation.bundles)
 
@@ -150,8 +154,7 @@ def build_trace(
             raise InvariantViolationError(
                 f"learned price {vector[at.index(None)]} is not a level-{level} price"
             )
-        stride = params.alpha ** (tree.depth - level)
-        refined = frozenset(j for j in refined if leaf[j] // stride == at[j])
+        refined = frozenset(j for j in refined if ancestor(leaf[j], level) == at[j])
         qv = tuple(
             q_star[j] if j in star and owner_group[j] >= level else ZERO
             for j in range(m)
@@ -181,10 +184,9 @@ def build_trace(
         i = record.level
         this, nxt = levels[i - 1], levels[i]
 
-        stride = params.alpha ** (tree.depth - i - 1)
-        partition: list[set[int]] = [set() for _ in range(params.alpha)]
+        partition: list[set[int]] = [set() for _ in range(alpha)]
         for j in this.correct:
-            partition[leaf[j] // stride % params.alpha].add(j)
+            partition[ancestor(leaf[j], i + 1) % alpha].add(j)
         if frozenset().union(*partition) != this.correct or sum(
             len(p) for p in partition
         ) != len(this.correct):
@@ -214,9 +216,9 @@ def build_trace(
 
         change = level_mass[i] - level_mass[i - 1]
         learnable = change * 3 * params.beta * wden >= -wnum * grid
-        mean_welfare = sum(record.welfares, ZERO) / params.alpha
+        mean_welfare = sum(record.welfares, ZERO) / alpha
         allocatable = mean_welfare >= optimal.welfare / (
-            200 * params.alpha * params.beta**2
+            200 * alpha * params.beta**2
         )
         iterations.append(
             IterationDiagnostics(

@@ -197,24 +197,22 @@ def test_criterion_5_price_tree_invariants():
 
             for parity in (ODD, EVEN):
                 tree = build_modified_tree(bins, parity)
-                for level in tree.levels:
-                    prices = sorted(n.price for n in level)
+                for level in range(1, tree.depth + 1):
+                    prices = sorted(tree.prices(level))
                     for a, b in zip(prices, prices[1:]):
                         assert b >= a * params.gamma
-                for leaf in tree.leaves:
-                    for cell in leaf.cells:
-                        if cell.index is None:
-                            continue
-                        p = leaf.price
-                        probes = [cell.price, (cell.price + cell.upper) / 2]
-                        probes.append(
-                            cell.upper
-                            if cell.closed
-                            else cell.price
-                            + (cell.upper - cell.price) * Fraction(99, 100)
-                        )
-                        for q in probes:
-                            assert p <= q <= params.gamma * p
+                for cell in tree.leaves:
+                    if cell.index is None:
+                        continue
+                    p = cell.price
+                    probes = [cell.price, (cell.price + cell.upper) / 2]
+                    probes.append(
+                        cell.upper
+                        if cell.closed
+                        else cell.price + (cell.upper - cell.price) * Fraction(99, 100)
+                    )
+                    for q in probes:
+                        assert p <= q <= params.gamma * p
 
 
 def test_criterion_6_query_budget(deviation_sweep):

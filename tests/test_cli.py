@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from auctionlab import cli
 from auctionlab.cli import main
+from auctionlab.errors import InvariantViolationError
 from auctionlab.instances import Instance, dump_instance, load_instance
 from auctionlab.valuations import additive, xos
 
@@ -219,6 +221,36 @@ def test_trace_rejects_what_run_rejects(tmp_path, capsys, data, message):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+@pytest.mark.parametrize("stage", ["run", "trace"])
+def test_trace_invariant_violation_names_its_seed(
+    monkeypatch, capsys, instance_file, stage
+):
+    # A fault planted at seed 3, in the mechanism run or in its trace, is
+    # reported with that seed, and --seeds 4 replays it.
+    real_run, real_trace = cli.price_learning_mechanism, cli.build_trace
+    seeds = []
+
+    def run(bidders, m, psi_min, psi_max, tape):
+        seeds.append(tape.seed)
+        if stage == "run" and tape.seed == 3:
+            raise InvariantViolationError("planted")
+        return real_run(bidders, m, psi_min, psi_max, tape)
+
+    def trace(run, optimal, tree):
+        if stage == "trace" and seeds[-1] == 3:
+            raise InvariantViolationError("planted")
+        return real_trace(run, optimal, tree)
+
+    monkeypatch.setattr(cli, "price_learning_mechanism", run)
+    monkeypatch.setattr(cli, "build_trace", trace)
+    for count in ("20", "4"):
+        assert main(["trace", "--instance", instance_file, "--seeds", count]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invariant violation: seed 3: planted\n"
+    assert main(["trace", "--instance", instance_file, "--seeds", "3"]) == 0
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,12 @@ import pytest
 
 from auctionlab import harness
 from auctionlab.auction import Allocation
-from auctionlab.errors import CapabilityError, ConfigError, InstanceShapeError
+from auctionlab.errors import (
+    CapabilityError,
+    ConfigError,
+    DomainError,
+    InstanceShapeError,
+)
 from auctionlab.harness import (
     _deviation,
     _log_uniform_cents,
@@ -322,6 +327,16 @@ class TestExperiments:
         result = run_trial(inst, seed)
         assert result.demand_queries > 0
         assert result.welfare >= result.payments_total >= 0
+
+    def test_market_checked_before_the_oracle(self, monkeypatch):
+        # The oracle's work grows as 3^m; a market the mechanism refuses
+        # must be refused before it runs.
+        def oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran on a market without bidders")
+
+        monkeypatch.setattr(harness, "brute_force_opt", oracle)
+        with pytest.raises(DomainError, match="at least one bidder"):
+            run_experiment(ExperimentConfig(Instance(10**7, ()), trials=1))
 
     def test_bad_trial_count(self):
         inst = Instance(1, (xos((1,)),))

@@ -53,6 +53,8 @@ from auctionlab.price_tree import (
 )
 from auctionlab.valuations import additive, budget_additive, value_query, xos
 
+from tree_reference import strong_node
+
 
 class ReferenceCoinTape:
     """The tape without a record: every stream seeded on its first draw and
@@ -420,7 +422,7 @@ class TestPriceLearningMechanism:
             for m in (0, 1, 3, 8):
                 params, root, vectors, halves = _first_prices(lo, hi, parity, m)
                 assert params == fresh
-                assert root == (tree.root.price,) * m
+                assert root == (tree.prices(1)[0],) * m
                 reference = canonical_vectors(tree, root, 1)
                 assert vectors == tuple(reference)
                 assert halves == tuple(_halve(v) for v in reference)
@@ -467,7 +469,7 @@ class TestPriceLearningMechanism:
             out = price_learning_mechanism(bidders, 3, 1, 10**6, CoinTape(seed))
             for level, vector in enumerate(out.learned_prices, start=1):
                 for price in vector:
-                    assert out.tree.strong_node(price, level) is not None
+                    assert strong_node(out.tree, price, level) is not None
 
     def test_query_budget(self):
         rng = random.Random(4)
@@ -543,7 +545,7 @@ class TestPricesByShape:
             tree = build_modified_tree(build_bins(fresh), parity)
             params, root, vectors, halves = _first_prices(lo, hi, parity, m)
             assert params == fresh
-            assert root == (tree.root.price,) * m
+            assert root == (tree.prices(1)[0],) * m
             reference = canonical_vectors(tree, root, 1)
             assert vectors == tuple(reference)
             assert halves == tuple(_halve(v) for v in reference)

@@ -21,6 +21,16 @@ from auctionlab.price_tree import (
     validate_parameter_equations,
 )
 
+from tree_reference import (
+    belongs,
+    bin_indices,
+    children,
+    nested_canonical_vectors,
+    nested_tree,
+    nodes,
+    strong_node,
+)
+
 
 class TestSolveParameters:
     def test_psi_ratio_million(self):
@@ -114,16 +124,22 @@ class TestBins:
 class TestModifiedTree:
     def test_odd_tree_of_four_bins(self):
         tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
-        leaf_prices = [n.price for n in tree.leaves if n.bin_indices]
+        leaf_prices = [c.price for c in tree.leaves if c.index is not None]
         assert leaf_prices == [1, 16]
-        assert tree.root.bin_indices == (1, 3)
+        assert bin_indices(tree.leaves) == (1, 3)
+        assert tree.prices(1) == (1,)
 
     def test_even_tree_of_single_bin_is_dummy_backed(self):
         bins = build_bins(Params(2, 1, Fraction(40), Fraction(5), Fraction(5)))
         tree = build_modified_tree(bins, EVEN)
-        assert tree.root.bin_indices == ()
-        assert all(not n.belongs(Fraction(5)) for level in tree.levels for n in level)
-        assert tree.root.price > bins.params.psi_max
+        assert bin_indices(tree.leaves) == ()
+        assert all(
+            not belongs(cells, Fraction(5))
+            for level in range(1, tree.depth + 1)
+            for cells in nodes(tree, level)
+        )
+        assert tree.leaf_of(Fraction(5)) is None
+        assert tree.prices(1)[0] > bins.params.psi_max
 
     def test_figure_shape_alpha2_beta3_t8(self):
         # eight bins at gamma = 2; the odd tree keeps B1, B3, B5, B7 as leaves
@@ -132,8 +148,8 @@ class TestModifiedTree:
         assert len(bins.cells) == 8
         tree = build_modified_tree(bins, ODD)
         assert tree.depth == 4
-        real_leaves = [n for n in tree.leaves if n.bin_indices]
-        assert [n.bin_indices for n in real_leaves] == [(1,), (3,), (5,), (7,)]
+        assert len(tree.leaves) == 8
+        assert bin_indices(tree.leaves) == (1, 3, 5, 7)
 
     def test_capacity_violation_rejected(self):
         # t = 8; the odd tree keeps 4 bins, over the capacity alpha^beta = 2
@@ -149,33 +165,43 @@ class TestModifiedTree:
 class TestBelonging:
     def test_root_price_strongly_belongs(self):
         tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
-        assert tree.strong_node(Fraction(1), 1) is tree.root
-        assert tree.root.belongs(Fraction(1))
+        assert strong_node(tree, Fraction(1), 1) == 0
+        assert tree.position(Fraction(1), 1) == 0
+        assert belongs(tree.leaves, Fraction(1))
 
     def test_belongs_without_strongly(self):
         tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
-        assert tree.root.belongs(Fraction(16))
-        assert tree.strong_node(Fraction(16), 1) is None
+        assert belongs(tree.leaves, Fraction(16))
+        assert strong_node(tree, Fraction(16), 1) is None
+        assert tree.position(Fraction(16), 1) is None
 
     def test_strong_node_level_out_of_range(self):
         tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
         for level in (0, tree.depth + 1):
             with pytest.raises(DomainError):
-                tree.strong_node(Fraction(1), level)
+                strong_node(tree, Fraction(1), level)
             with pytest.raises(DomainError):
                 tree.position(Fraction(1), level)
+            with pytest.raises(DomainError):
+                tree.prices(level)
 
     def test_above_range_belongs_nowhere(self):
         tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
         assert all(
-            not node.belongs(Fraction(300)) for level in tree.levels for node in level
+            not belongs(cells, Fraction(300))
+            for level in range(1, tree.depth + 1)
+            for cells in nodes(tree, level)
         )
+        assert tree.leaf_of(Fraction(300)) is None
 
     def test_wrong_parity_belongs_nowhere(self):
         tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
         assert all(
-            not node.belongs(Fraction(5)) for level in tree.levels for node in level
+            not belongs(cells, Fraction(5))
+            for level in range(1, tree.depth + 1)
+            for cells in nodes(tree, level)
         )  # 5 sits in B2
+        assert tree.leaf_of(Fraction(5)) is None
 
 
 def random_params(rng):
@@ -196,8 +222,9 @@ def random_params(rng):
 
 def lookup_probes(bins, tree):
     """Prices on and beside every bin edge of both parities, inside every
-    bin, at and past the closed psi_max edge, below psi_min, at every node's
-    own price (dummies included) and between dummies, and two ints."""
+    bin, at and past the closed psi_max edge, below psi_min, at every leaf's
+    own price (dummies included, and so at every node's) and between
+    dummies, and two ints."""
     params = bins.params
     tiny = params.psi_min / 10**6
     probes = [Fraction(0), -params.psi_min, params.psi_min / 2, 1, int(params.psi_max)]
@@ -206,20 +233,20 @@ def lookup_probes(bins, tree):
             probes += [edge, edge - tiny, edge + tiny]
         probes.append((cell.price + cell.upper) / 2)
     probes += [params.psi_max, params.psi_max + tiny, params.psi_max * params.gamma]
-    for level in tree.levels:
-        for node in level:
-            probes += [node.price, node.price * params.gamma + tiny]
+    for cell in tree.leaves:
+        probes += [cell.price, cell.price * params.gamma + tiny]
     return probes
 
 
 @pytest.mark.parametrize("parity", [ODD, EVEN])
 def test_lookups_match_scans(parity):
     """``leaf_of`` against ``belongs`` and ``position`` against
-    ``strong_node``, on random trees at beta 1-4: the nodes a price belongs
-    to are exactly its leaf's ancestors, the leaf's place divided by
-    alpha^(depth-l); a node's child holding the leaf is the quotient by
-    alpha^(depth-l-1) modulo alpha; and ``position`` names the node that
-    ``strong_node`` finds."""
+    ``strong_node``, scans over the leaf blocks of the nodes, on random trees
+    at beta 1-4: the nodes a price belongs to are exactly its leaf's
+    ancestors (``ancestor``, the leaf's place divided by alpha^(depth-l)); a
+    node's child holding the price is the level-(l+1) ancestor, whose place
+    modulo alpha is its place among the children; and ``position`` names the
+    node that ``strong_node`` finds."""
     rng = random.Random(11 if parity == ODD else 12)
     trees = [random_params(rng) for _ in range(60)]
     trees += [
@@ -235,18 +262,57 @@ def test_lookups_match_scans(parity):
         for price in lookup_probes(bins, tree):
             leaf = tree.leaf_of(price)
             located.add((params.beta, leaf is not None))
-            for level, nodes in enumerate(tree.levels, start=1):
-                homes = [k for k, node in enumerate(nodes) if node.belongs(price)]
-                stride = alpha ** (depth - level)
-                assert homes == ([] if leaf is None else [leaf // stride]), price
+            for level in range(1, depth + 1):
+                blocks = nodes(tree, level)
+                homes = [k for k, cells in enumerate(blocks) if belongs(cells, price)]
+                assert homes == ([] if leaf is None else [tree.ancestor(leaf, level)])
+                assert leaf is None or homes == [leaf // alpha ** (depth - level)]
                 if leaf is not None and level < depth:
-                    child = nodes[leaf // stride].children[leaf // (stride // alpha) % alpha]
-                    assert child is tree.levels[level][leaf // (stride // alpha)]
-                node = tree.strong_node(price, level)
-                k = tree.position(price, level)
-                assert (k is None) == (node is None), price
-                assert node is None or nodes[k] is node
+                    kids = children(blocks[homes[0]], alpha)
+                    held = [k for k, cells in enumerate(kids) if belongs(cells, price)]
+                    below = tree.ancestor(leaf, level + 1)
+                    assert held == [below % alpha], price
+                    assert kids[below % alpha] == nodes(tree, level + 1)[below]
+                assert tree.position(price, level) == strong_node(tree, price, level)
     assert located == {(beta, found) for beta in (1, 2, 3, 4) for found in (True, False)}
+
+
+@pytest.mark.parametrize("parity", [ODD, EVEN])
+def test_leaf_row_matches_nested_construction(parity):
+    """The leaf row against the nested construction it replaced, on random
+    trees at alpha 2, beta 1-4 and alpha 3, beta 1-3, and on solver trees:
+    the same leaf cells, the same node prices at every level, and the same
+    ``canonical_vectors`` at every non-leaf level, for the whole row of node
+    prices and for random vectors over it."""
+    rng = random.Random(21 if parity == ODD else 22)
+    trees = [random_params(rng) for _ in range(80)]
+    trees += [
+        solve_parameters(lo, lo * Fraction(rng.randint(1, 10**6)) ** e)
+        for lo in (Fraction(1), Fraction(37, 3))
+        for e in (1, 2, 3, 4)
+    ]
+    shapes = set()
+    for params in trees:
+        bins = build_bins(params)
+        tree = build_modified_tree(bins, parity)
+        levels = nested_tree(bins, parity)
+        alpha = params.alpha
+        shapes.add((alpha, params.beta))
+        assert tree.depth == len(levels)
+        assert tree.leaves == tuple(node.cells[0] for node in levels[-1])
+        for level, row in enumerate(levels, start=1):
+            assert tree.prices(level) == tuple(node.price for node in row)
+        for level in range(1, tree.depth):
+            row = tree.prices(level)
+            vectors = [row] + [
+                tuple(rng.choice(row) for _ in range(rng.randint(0, 6)))
+                for _ in range(4)
+            ]
+            for vector in vectors:
+                assert canonical_vectors(tree, vector, level) == (
+                    nested_canonical_vectors(levels, vector, level, alpha)
+                )
+    assert shapes >= {(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)}
 
 
 CANON = Params(2, 2, Fraction(2), Fraction(1), Fraction(200))  # t = 8
@@ -303,9 +369,10 @@ class TestTernaryTree:
     def test_leaf_spread(self, parity, leaf_bins, leaf_prices):
         tree = build_modified_tree(build_bins(TERNARY), parity)
         assert tree.depth == 3
-        assert [n.bin_indices for n in tree.leaves] == leaf_bins
-        assert [n.price for n in tree.leaves] == leaf_prices
-        assert all(len(n.children) == 3 for level in tree.levels[:-1] for n in level)
+        assert [bin_indices((cell,)) for cell in tree.leaves] == leaf_bins
+        assert [cell.price for cell in tree.leaves] == leaf_prices
+        assert [len(tree.prices(level)) for level in (1, 2, 3)] == [1, 3, 9]
+        assert tree.prices(2) == tuple(leaf_prices[::3])
 
     @pytest.mark.parametrize(
         "parity, root_children, vector, refined",
@@ -318,7 +385,7 @@ class TestTernaryTree:
         self, parity, root_children, vector, refined
     ):
         tree = build_modified_tree(build_bins(TERNARY), parity)
-        root = (tree.root.price,) * 2
+        root = (tree.prices(1)[0],) * 2
         assert canonical_vectors(tree, root, 1) == [(p, p) for p in root_children]
         vector = tuple(Fraction(p) for p in vector)
         assert canonical_vectors(tree, vector, 2) == refined
@@ -341,13 +408,13 @@ def test_tree_invariants_hold_for_solved_parameters(lo_num, ratio, parity):
 
     # each level partitions the retained bins
     retained = tuple(c.index for c in bins.retained(parity))
-    for level in tree.levels:
-        spread = [i for node in level for i in node.bin_indices]
+    for level in range(1, tree.depth + 1):
+        spread = [i for cells in nodes(tree, level) for i in bin_indices(cells)]
         assert tuple(spread) == retained
 
     # gap property: distinct same-level prices differ by at least gamma
-    for level in tree.levels:
-        prices = sorted(n.price for n in level)
+    for level in range(1, tree.depth + 1):
+        prices = sorted(tree.prices(level))
         for a, b in zip(prices, prices[1:]):
             if a != b:
                 assert b >= a * params.gamma
@@ -360,5 +427,5 @@ def test_tree_invariants_hold_for_solved_parameters(lo_num, ratio, parity):
         for c in bins.retained(parity)
     ]
     for price in probes:
-        for level in tree.levels:
-            assert sum(node.belongs(price) for node in level) == 1
+        for level in range(1, tree.depth + 1):
+            assert sum(belongs(cells, price) for cells in nodes(tree, level)) == 1

@@ -25,6 +25,8 @@ from auctionlab.trace import (
 )
 from auctionlab.valuations import additive, budget_additive, xos
 
+from tree_reference import belongs, children, nodes, strong_node
+
 
 def traced_run(bidders, m, psi_min, psi_max, seed):
     run = price_learning_mechanism(bidders, m, psi_min, psi_max, CoinTape(seed))
@@ -69,8 +71,8 @@ def random_bidders(rng, n, m, hi=100):
 
 def reference_build_trace(run, optimal, tree):
     """``build_trace`` as it was before the price-tree lookups: every
-    membership is a ``TreeNode.belongs`` or ``PriceTree.strong_node`` scan of
-    Fraction bounds, and every mass a Fraction sum."""
+    membership is a ``belongs`` or ``strong_node`` scan of the Fraction
+    bounds of a node's leaf cells, and every mass a Fraction sum."""
     if not run.iterations or run.params is None:
         raise DomainError(
             "the run carries no learning history (second-price branch?)"
@@ -92,7 +94,7 @@ def reference_build_trace(run, optimal, tree):
 
     q = optimal.supporting_prices
     star = frozenset(
-        j for j in range(m) if owner_group[j] is not None and tree.root.belongs(q[j])
+        j for j in range(m) if owner_group[j] is not None and belongs(tree.leaves, q[j])
     )
     q_star = tuple(q[j] if j in star else Fraction(0) for j in range(m))
 
@@ -115,16 +117,16 @@ def reference_build_trace(run, optimal, tree):
     strong_nodes = []
     for level in range(1, len(prices) + 1):
         vector = prices[level - 1]
-        nodes = {}
+        blocks = {}
         for j in range(m):
-            node = tree.strong_node(vector[j], level)
-            if node is None:
+            k = strong_node(tree, vector[j], level)
+            if k is None:
                 raise InvariantViolationError(
                     f"learned price {vector[j]} is not a level-{level} price"
                 )
-            nodes[j] = node
-        strong_nodes.append(nodes)
-        refined = frozenset(j for j in refined if nodes[j].belongs(q_star[j]))
+            blocks[j] = nodes(tree, level)[k]
+        strong_nodes.append(blocks)
+        refined = frozenset(j for j in refined if belongs(blocks[j], q_star[j]))
         qv = q_vector(level)
         correct = frozenset(j for j in refined if qv[j] != 0)
         for j in correct:
@@ -149,12 +151,12 @@ def reference_build_trace(run, optimal, tree):
     for record in run.iterations:
         i = record.level
         this, nxt = levels[i - 1], levels[i]
-        nodes = strong_nodes[i - 1]
+        blocks = strong_nodes[i - 1]
 
         partition = [set() for _ in range(params.alpha)]
         for j in this.correct:
-            children = nodes[j].children
-            homes = [k for k, child in enumerate(children) if child.belongs(q_star[j])]
+            kids = children(blocks[j], params.alpha)
+            homes = [k for k, kid in enumerate(kids) if belongs(kid, q_star[j])]
             if len(homes) != 1:
                 raise InvariantViolationError(
                     f"item {j} belongs to {len(homes)} children of its node"
@@ -278,7 +280,7 @@ class TestBuildTrace:
         bidders = [(0, additive((5, 5)))]
         for seed in range(40):
             run, optimal, trace = traced_run(bidders, 2, 1, 1000, seed)
-            covered = run.tree.root.belongs(Fraction(5))
+            covered = belongs(run.tree.leaves, Fraction(5))
             if not covered:
                 assert trace.star_items == frozenset()
                 assert all(level.correct == frozenset() for level in trace.levels)
