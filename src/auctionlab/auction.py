@@ -157,7 +157,7 @@ def greedy_marginal_value(
                 query_log.value[bidder_id] += len(order)
     # Per bidder: its cap and scale, its entries item by item, and its sums.
     grids = [(v.cap, v.scale) for _, v in bidders]
-    columns = [list(zip(*v.rows)) for _, v in bidders]
+    columns = [v.columns for _, v in bidders]
     sums = [[0] * len(v.rows) for _, v in bidders]
     current = [0] * len(bidders)
     for j in order:

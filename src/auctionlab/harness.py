@@ -94,6 +94,9 @@ class GeneratorSpec:
             raise ConfigError(
                 f"generator spec must hold a JSON object, got {type(data).__name__}"
             )
+        for name in ("n", "m"):
+            if name not in data:
+                raise ConfigError(f'bad generator spec: missing field "{name}"')
         for name in ("clause_count", "value_range"):
             # A string here would be read character by character.
             if name in data and not isinstance(data[name], list):
@@ -120,7 +123,7 @@ class GeneratorSpec:
                 value_range=value_range,
                 seed=data.get("seed", 0),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad generator spec: {exc}") from None
 
 
@@ -372,7 +375,7 @@ def _deviation(
 def _query_budget_check(outcome: MechanismOutcome, seed: int) -> list[dict]:
     """Bidders demand-queried more than alpha times, or at all outside the
     learning groups: the statistics group gets no demand query."""
-    if outcome.params is None:
+    if outcome.params is None or not outcome.demand_queries:
         return []
     grouped = {b for group in outcome.groups for b in group}
     return [

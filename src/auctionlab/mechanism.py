@@ -13,7 +13,9 @@ The learning mechanism proper:
 3. starting from the root price vector, run alpha posted-price auctions per
    iteration on that iteration's group (at half prices), then either stop and
    keep one of the alpha outcomes (stop coin, probability 1/beta) or refine
-   the vector with the per-item "highest auction that sold it" rule;
+   the vector with the per-item "highest auction that sold it" rule. An
+   empty group runs no auctions: its record holds alpha empty allocations
+   and alpha zero welfares, what alpha auctions without bidders give;
 4. if no stop coin fired, sell to the last group at the learned leaf prices.
 
 Only the returned auction's allocation and payments count; auctions that ran
@@ -50,7 +52,7 @@ from .price_tree import (
     check_range,
     solve_parameters,
 )
-from .rationals import RationalLike, as_rational
+from .rationals import ZERO, RationalLike, as_rational
 from .valuations import Valuation, value_query
 
 # The interpreter's own SHA-256, as ``random`` uses for its seeds: hashlib
@@ -121,11 +123,13 @@ class CoinTape:
         return rng
 
     def _next(self, name: str, call: tuple):
-        node, history, rng = self._at.get(name) or (
-            self._record.setdefault(name, {}),
-            (),
-            None,
-        )
+        at = self._at.get(name)
+        if at is None:
+            node = self._record.get(name)
+            if node is None:
+                node = self._record[name] = {}
+            at = (node, (), None)
+        node, history, rng = at
         hit = node.get(call)
         if hit is None:
             if rng is None:
@@ -365,10 +369,17 @@ def _learning_run(
             vectors = tuple(canonical_vectors(_range_tree(params, parity), prices, i))
             halves = tuple(_halve(v) for v in vectors)
         group = [(b, by_id[b]) for b in groups[i - 1]]
-        allocations = tuple(
-            fixed_price_auction(group, items, h, query_log=log) for h in halves
-        )
-        welfares = tuple(welfare(a, by_id) for a in allocations)
+        if group:
+            allocations = tuple(
+                fixed_price_auction(group, items, h, query_log=log) for h in halves
+            )
+            welfares = tuple(welfare(a, by_id) for a in allocations)
+        else:
+            # What alpha auctions without bidders give. A fresh Allocation
+            # per iteration: its dicts are mutable, and the pick may make it
+            # the outcome's allocation.
+            allocations = (Allocation({}, {}),) * len(halves)
+            welfares = (ZERO,) * len(halves)
         records.append(IterationRecord(i, vectors, allocations, welfares))
         stop = tape.stop_coin(params.beta)
         pick = tape.pick_auction(params.alpha)

@@ -27,9 +27,13 @@ Queries:
   ``value_query(v, S)`` and under-estimate every sub-bundle: the entries of a
   maximizing row of S, scaled down to the cap when they sum past it.
 
-All arithmetic is exact. The value of the whole item set, which every
-second-price auction asks for, is worked out once per valuation as
-``grand_value``.
+All arithmetic is exact. Kept beside the form, outside its equality, and
+worked out once per valuation: the whole item set ``all_items``, its value
+``grand_value``, and ``columns``, the rows item by item, which the greedy
+statistic reads. ``value_query`` answers the whole set, which every
+second-price auction asks for, with ``grand_value`` and the empty bundle
+with ``rationals.ZERO``, checking no item; any other bundle has every item
+range-checked, so an out-of-range item raises whatever the bundle's size.
 The demand backend enumerates the 2^m bundles on a grid shared with the
 prices, so comparisons are pure integer comparisons. Beyond
 ``ENUMERATION_CAP`` items only budget-additive valuations are served, by a
@@ -47,7 +51,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapabilityError, InstanceShapeError
-from .rationals import RationalLike, as_rational, common_scale, scaled_ints
+from .rationals import ZERO, RationalLike, as_rational, common_scale, scaled_ints
 
 ItemSet = frozenset[int]
 
@@ -105,12 +109,25 @@ class Valuation:
         return len(self.rows[0])
 
     @cached_property
+    def all_items(self) -> ItemSet:
+        """The whole item set, 0..item_count-1."""
+        return frozenset(range(self.item_count))
+
+    @cached_property
     def grand_value(self) -> Fraction:
-        """The value of all the items: the largest row sum, capped."""
+        """The value of all the items: the largest row sum, capped. A zero
+        value is ``ZERO``, the empty bundle's answer, which is also the whole
+        set when there are no items."""
         total = max(map(sum, self.rows))
         if self.cap is not None:
             total = min(self.cap, total)
-        return Fraction(total, self.scale)
+        return Fraction(total, self.scale) if total else ZERO
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The rows item by item: ``columns[j]`` holds item j's entry of
+        every row, in row order."""
+        return tuple(zip(*self.rows))
 
     def maximizing_clause(self, items: Iterable[int]) -> int:
         """Index of a row attaining the bundle's value (lowest index wins)."""
@@ -166,7 +183,12 @@ def _check_items(m: int, items: Iterable[int]) -> ItemSet:
 
 
 def value_query(valuation: Valuation, items: Iterable[int]) -> Fraction:
-    """v(S) for a bundle S, exactly."""
+    """v(S) for a bundle S, exactly. The whole item set and the empty bundle
+    are answered at once; any other bundle has its items range-checked."""
+    if items == valuation.all_items:
+        return valuation.grand_value
+    if not items:
+        return ZERO
     bundle = _check_items(valuation.item_count, items)
     if len(bundle) == valuation.item_count:
         return valuation.grand_value

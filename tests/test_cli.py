@@ -269,9 +269,15 @@ def test_truthtest_without_runs_is_usage_error(capsys, instance_file, flags, mes
     assert message in captured.err
 
 
+# A spec field set to this is left out of the spec.
+MISSING = object()
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
+        ({"n": MISSING}, 'bad generator spec: missing field "n"'),
+        ({"m": MISSING}, 'bad generator spec: missing field "m"'),
         ({"n": 2.5}, "n must be an integer, got 2.5"),
         ({"m": "2"}, "m must be an integer, got '2'"),
         ({"n": True}, "n must be an integer, got True"),
@@ -293,6 +299,8 @@ def test_truthtest_without_runs_is_usage_error(capsys, instance_file, flags, mes
         ([1], "generator spec must hold a JSON object, got list"),
     ],
     ids=[
+        "missing-n",
+        "missing-m",
         "float-n",
         "string-m",
         "bool-n",
@@ -317,7 +325,11 @@ def test_truthtest_without_runs_is_usage_error(capsys, instance_file, flags, mes
 def test_bad_generator_spec_is_usage_error(tmp_path, capsys, fields, message):
     spec_path = tmp_path / "spec.json"
     out_path = tmp_path / "gen.json"
-    spec = fields if isinstance(fields, list) else {"n": 2, "m": 2, **fields}
+    if isinstance(fields, list):
+        spec = fields
+    else:
+        spec = {"n": 2, "m": 2, **fields}
+        spec = {name: value for name, value in spec.items() if value is not MISSING}
     spec_path.write_text(json.dumps(spec))
     assert main(["gen", "--spec", str(spec_path), "-o", str(out_path)]) == 2
     assert message in capsys.readouterr().err

@@ -417,6 +417,22 @@ class TestTruthfulnessReport:
             assert set(violation) == {"seed", "bidder", "demand_queries"}
             assert violation["demand_queries"] == 1
 
+    def test_sweep_whose_learning_runs_sell(self):
+        """Thirty bidders make a non-empty first learning group, so the
+        sweep replays learning runs that allocate items, not only runs whose
+        learning auctions have no bidders."""
+        inst = generate_instance(GeneratorSpec(30, 4, "xos-random", seed=1))
+        selling = [
+            seed
+            for seed in range(25)
+            for outcome in [final_mechanism(inst.bidders(), 4, CoinTape(seed))]
+            if outcome.branch != SECOND_PRICE and outcome.allocation.allocated_items
+        ]
+        assert selling
+        report = truthfulness_report(inst, seeds=25, deviations=3)
+        assert report.violations == ()
+        assert report.query_budget_violations == ()
+
     def test_query_budget_check_on_planted_outcomes(self):
         inst = generate_instance(GeneratorSpec(6, 3, seed=3))
         for seed in range(40):

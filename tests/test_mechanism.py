@@ -28,6 +28,7 @@ from auctionlab.mechanism import (
     LEARNING_STOPPED,
     SECOND_PRICE,
     CoinTape,
+    IterationRecord,
     MechanismOutcome,
     _first_prices,
     _halve,
@@ -819,6 +820,35 @@ class TestRunRecord:
             (LEARNING_STOPPED, 2),
             (LEARNING_COMPLETED, 2),
         } <= seen
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=9),
+        m=st.integers(min_value=0, max_value=8),
+        hi=st.sampled_from([Fraction(1), Fraction(40), Fraction(10**6)]),
+        bidder_seed=st.integers(min_value=0, max_value=2**32),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_empty_group_record_matches_empty_auctions(
+        self, n, m, hi, bidder_seed, seed
+    ):
+        bidders = random_bidders(random.Random(bidder_seed), n, m)
+        by_id = dict(bidders)
+        out = price_learning_mechanism(bidders, m, 1, hi, CoinTape(seed))
+        # Fewer than ten bidders: every group before the last is empty.
+        assert not out.groups[0]
+        for record, group in zip(out.iterations, out.groups):
+            assert not group
+            allocations = tuple(
+                fixed_price_auction([], range(m), _halve(v)) for v in record.vectors
+            )
+            assert record == IterationRecord(
+                record.level,
+                record.vectors,
+                allocations,
+                tuple(welfare(a, by_id) for a in allocations),
+            )
+        assert out.welfare == welfare(out.allocation, by_id)
 
 
 class TestParticipation:

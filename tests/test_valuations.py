@@ -20,6 +20,7 @@ from auctionlab.valuations import (
     bundle_value_table,
     demand_query,
     max_subset_sums,
+    on_grid,
     supporting_prices,
     value_query,
     xos,
@@ -88,6 +89,86 @@ def random_fractional_inputs(rng, m):
     values = [entry() for _ in range(m)]
     budget = entry()
     return [values], budget, budget_additive(values, budget)
+
+
+def per_item_value_query(valuation, items):
+    """Reference v(S) without the whole and empty answers: every item
+    range-checked, then the largest row sum over the bundle, capped."""
+    m = valuation.item_count
+    bundle = frozenset(items)
+    for j in bundle:
+        if not 0 <= j < m:
+            raise InstanceShapeError(f"item {j} outside 0..{m - 1}")
+    total = max(sum(row[j] for j in bundle) for row in valuation.rows)
+    if valuation.cap is not None:
+        total = min(valuation.cap, total)
+    return Fraction(total, valuation.scale)
+
+
+@st.composite
+def grid_valuations(draw):
+    """A valuation of either family over 0 to 8 items, on a small grid."""
+    m = draw(st.integers(min_value=0, max_value=8))
+    grid = draw(st.sampled_from([1, 2, 3, 100]))
+    entry = st.integers(min_value=0, max_value=60)
+    if draw(st.booleans()):
+        rows = draw(
+            st.lists(
+                st.lists(entry, min_size=m, max_size=m), min_size=1, max_size=4
+            )
+        )
+        return on_grid(grid, rows)
+    row = draw(st.lists(entry, min_size=m, max_size=m))
+    return on_grid(grid, [row], draw(st.integers(min_value=0, max_value=300)))
+
+
+class TestWholeAndEmptyAnswers:
+    """``value_query`` answers the whole item set and the empty bundle
+    without its per-item path; ``columns`` is the rows item by item."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(v=grid_valuations(), data=st.data())
+    def test_value_query_matches_per_item_reference(self, v, data):
+        m = v.item_count
+        whole = list(range(m))
+        flags = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        random_bundle = {j for j in whole if flags[j]}
+        for bundle in (
+            frozenset(whole),
+            set(whole),
+            whole[::-1],
+            frozenset(),
+            set(),
+            [],
+            random_bundle,
+            frozenset(random_bundle),
+        ):
+            assert value_query(v, bundle) == per_item_value_query(v, bundle)
+
+    @settings(max_examples=100, deadline=None)
+    @given(v=grid_valuations(), data=st.data())
+    def test_full_size_bundle_with_an_outsider_raises(self, v, data):
+        m = v.item_count
+        outsider = data.draw(
+            st.one_of(
+                st.integers(max_value=-1), st.integers(min_value=m, max_value=m + 50)
+            )
+        )
+        if m:
+            dropped = data.draw(st.integers(min_value=0, max_value=m - 1))
+            bundle = (set(range(m)) - {dropped}) | {outsider}
+        else:
+            bundle = {outsider}
+        for spelling in (frozenset(bundle), set(bundle), sorted(bundle)):
+            with pytest.raises(InstanceShapeError, match=f"item {outsider} outside"):
+                value_query(v, spelling)
+        with pytest.raises(InstanceShapeError):
+            value_query(v, set(range(m)) | {outsider})
+
+    @settings(max_examples=100, deadline=None)
+    @given(v=grid_valuations())
+    def test_columns_are_the_transposed_rows(self, v):
+        assert v.columns == tuple(zip(*v.rows))
 
 
 class TestIntegerGrid:
