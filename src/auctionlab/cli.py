@@ -42,8 +42,12 @@ TRACE_CSV_HEADER = (
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    with open(args.spec) as fp:
-        spec = GeneratorSpec.from_dict(json.load(fp))
+    try:
+        with open(args.spec) as fp:
+            data = json.load(fp)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"unreadable generator spec: {exc}") from None
+    spec = GeneratorSpec.from_dict(data)
     instance = generate_instance(spec)
     dump_instance(instance, args.output)
     print(f"wrote {instance.bidder_count} bidders x {instance.item_count} items to {args.output}")
@@ -238,7 +242,7 @@ def main(argv=None) -> int:
     except AuctionLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

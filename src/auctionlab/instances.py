@@ -130,7 +130,12 @@ def dump_instance(instance: Instance, fp: Union[str, IO[str]]) -> None:
 
 
 def load_instance(fp: Union[str, IO[str]]) -> Instance:
-    if isinstance(fp, str):
-        with open(fp) as handle:
-            return instance_from_dict(json.load(handle))
-    return instance_from_dict(json.load(fp))
+    try:
+        if isinstance(fp, str):
+            with open(fp) as handle:
+                data = json.load(handle)
+        else:
+            data = json.load(fp)
+    except (ValueError, RecursionError) as exc:
+        raise InstanceShapeError(f"unreadable instance file: {exc}") from None
+    return instance_from_dict(data)

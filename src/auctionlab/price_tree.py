@@ -135,13 +135,6 @@ class BinCell:
     upper: Fraction
     closed: bool
 
-    def contains(self, price: Fraction) -> bool:
-        if self.index is None:
-            return False
-        if self.closed:
-            return self.price <= price <= self.upper
-        return self.price <= price < self.upper
-
 
 @dataclass(frozen=True)
 class Bins:

@@ -21,8 +21,8 @@ Queries:
 
 * ``value_query(v, S)`` -- the exact value of a bundle.
 * ``demand_query(v, p)`` -- a profit-maximizing bundle under item prices,
-  with a deterministic tie-break (fewest items, then lexicographically
-  smallest index sequence).
+  with one deterministic tie-break for every backend (fewest items, then
+  lexicographically smallest index sequence).
 * ``supporting_prices(v, S)`` -- per-item prices that sum to
   ``value_query(v, S)`` and under-estimate every sub-bundle: the entries of a
   maximizing row of S, scaled down to the cap when they sum past it.
@@ -34,10 +34,10 @@ statistic reads. ``value_query`` answers the whole set, which every
 second-price auction asks for, with ``grand_value`` and the empty bundle
 with ``rationals.ZERO``, checking no item; any other bundle has every item
 range-checked, so an out-of-range item raises whatever the bundle's size.
-The demand backend enumerates the 2^m bundles on a grid shared with the
-prices, so comparisons are pure integer comparisons. Beyond
-``ENUMERATION_CAP`` items only budget-additive valuations are served, by a
-pseudo-polynomial knapsack indexed by value sum on the valuation's grid.
+The demand backend takes the argmax of the 2^m bundles' profits on a grid
+shared with the prices. Beyond ``ENUMERATION_CAP`` items only budget-additive
+valuations are served, by a pseudo-polynomial knapsack indexed by value sum
+on the valuation's grid, its costs carrying the tie-break in low digits.
 ``bundle_value_table`` is the one place a valuation becomes an integer table
 of bundle values; the oracle builds its budget-additive tables with it too.
 """
@@ -47,7 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
+from operator import sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapabilityError, InstanceShapeError
@@ -216,10 +218,10 @@ def demand_query(
     """A bundle maximizing v(S) - p(S) over subsets of ``allowed``.
 
     Ties go to the bundle with fewer items, then to the lexicographically
-    smallest sorted index sequence, so repeated queries are replayable. The
-    empty bundle (profit 0) is always available, hence the result never has
-    negative profit. Past ``ENUMERATION_CAP`` allowed items the answer is some
-    profit-maximizing bundle, with the knapsack's own tie-break.
+    smallest sorted index sequence, on both backends (the enumeration up to
+    ``ENUMERATION_CAP`` allowed items, the budget-additive knapsack past it),
+    so repeated queries are replayable. The empty bundle (profit 0) is always
+    available, hence the result never has negative profit.
     """
     m = valuation.item_count
     _check_prices(m, prices)
@@ -276,30 +278,22 @@ def _demand_enumerate(
     allowed: tuple[int, ...],
 ) -> ItemSet:
     size = len(allowed)
-    # One common integer grid for every value and price keeps the inner loop
-    # in exact integer arithmetic.
+    # One common integer grid for every value and price keeps the argmax in
+    # exact integer arithmetic.
     scale = lcm(valuation.scale, common_scale(prices[j] for j in allowed))
     cost = max_subset_sums([scaled_ints((prices[j] for j in allowed), scale)], size)
-    best_value = bundle_value_table(valuation, allowed, scale)
-
-    def index_tuple(mask: int) -> tuple[int, ...]:
-        return tuple(allowed[b] for b in range(size) if mask >> b & 1)
-
-    best_mask = 0
-    best_profit = 0
-    best_pop = 0
-    for mask in range(1, 1 << size):
-        profit = best_value[mask] - cost[mask]
-        if profit < best_profit:
-            continue
-        pop = mask.bit_count()
-        if profit == best_profit:
-            if pop > best_pop:
-                continue
-            if pop == best_pop and index_tuple(mask) >= index_tuple(best_mask):
-                continue
-        best_profit, best_mask, best_pop = profit, mask, pop
-    return frozenset(index_tuple(best_mask))
+    profit = list(map(sub, bundle_value_table(valuation, allowed, scale), cost))
+    top = max(profit)
+    mask = profit.index(top)
+    if profit.count(top) > 1:
+        mask = min(
+            compress(range(1 << size), map(top.__eq__, profit)),
+            key=lambda tied: (
+                tied.bit_count(),
+                [b for b in range(size) if tied >> b & 1],
+            ),
+        )
+    return frozenset(allowed[b] for b in range(size) if mask >> b & 1)
 
 
 def _demand_knapsack(
@@ -310,16 +304,16 @@ def _demand_knapsack(
     """Budget-additive demand beyond the enumeration cap.
 
     The table is indexed by value sum on the valuation's grid; each cell keeps
-    the least spend that reaches exactly that value sum. The profit of a cell
-    is then min(cap, value) - spend, compared exactly over all cells. Exact
-    demand for budget-additive valuations is knapsack-hard, so this is
-    deliberately pseudo-polynomial in the valuation's scaled values, whatever
-    the prices; the cell cap guards against very fine value grids.
+    the least cost that reaches exactly that value sum. Exact demand for
+    budget-additive valuations is knapsack-hard, so this is deliberately
+    pseudo-polynomial in the valuation's scaled values, whatever the prices;
+    the cell cap guards against very fine value grids.
 
-    The returned set is a profit maximizer; its tie-break is determined by the
-    DP reconstruction (prefer the smaller value sum, then leaving an item
-    out), which need not coincide with the enumeration backend's
-    cardinality-then-lex rule.
+    A cost is the scaled price times ``digits`` plus tie-break digits: item
+    position b adds ``unit - 2^(size-1-b)``. A bundle's digits stay below
+    ``digits``, grow with its item count and, at equal counts, are least for
+    the lexicographically smallest, so the best score (profit times
+    ``digits`` less the bundle's digits) names the enumeration's bundle.
     """
     values = [valuation.rows[0][j] for j in allowed]
     total = sum(values)
@@ -328,15 +322,21 @@ def _demand_knapsack(
             f"knapsack table of {total + 1} cells exceeds the cap "
             f"({KNAPSACK_CELL_CAP})"
         )
+    size = len(allowed)
+    unit = 1 << size
+    digits = (size + 1) * unit
     price_scale = common_scale(prices[j] for j in allowed)
-    weights = scaled_ints((prices[j] for j in allowed), price_scale)
+    costs = [
+        digits * valuation.scale * p + unit - (1 << (size - 1 - b))
+        for b, p in enumerate(scaled_ints((prices[j] for j in allowed), price_scale))
+    ]
 
-    # A spend above every reachable one marks a cell no bundle reaches.
-    unreached = sum(weights) + 1
+    # A cost above every reachable one marks a cell no bundle reaches.
+    unreached = sum(costs) + 1
     best = [unreached] * (total + 1)
     best[0] = 0
     take: list[bytearray] = []
-    for w, v in zip(weights, values):
+    for w, v in zip(costs, values):
         marks = bytearray(total + 1)
         for c in range(total, v - 1, -1):
             spend = best[c - v] + w
@@ -345,19 +345,14 @@ def _demand_knapsack(
                 marks[c] = 1
         take.append(marks)
 
-    # Profits times valuation.scale * price_scale, so they stay integers.
-    best_profit = 0
-    best_cell = 0
-    for c in range(total + 1):
-        if best[c] == unreached:
-            continue
-        profit = min(valuation.cap, c) * price_scale - best[c] * valuation.scale
-        if profit > best_profit:
-            best_profit, best_cell = profit, c
-
+    # Scores are profits times digits * valuation.scale * price_scale, less
+    # the tie-break digits, so they stay integers.
+    c = max(
+        (c for c in range(total + 1) if best[c] != unreached),
+        key=lambda c: digits * min(valuation.cap, c) * price_scale - best[c],
+    )
     chosen: list[int] = []
-    c = best_cell
-    for idx in range(len(allowed) - 1, -1, -1):
+    for idx in range(size - 1, -1, -1):
         if take[idx][c]:
             chosen.append(allowed[idx])
             c -= values[idx]

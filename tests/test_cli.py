@@ -334,3 +334,30 @@ def test_bad_generator_spec_is_usage_error(tmp_path, capsys, fields, message):
     assert main(["gen", "--spec", str(spec_path), "-o", str(out_path)]) == 2
     assert message in capsys.readouterr().err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "trace", "truthtest", "gen"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'\xff\xfe{"m": 1}', "codec can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        (b'{"n": ' + b"1" * 5000 + b', "m": 1}', "Exceeds the limit (4300 digits)"),
+        (b'{"m": 1, "bidders": [}', "Expecting value"),
+    ],
+    ids=["non-utf8", "deeply-nested", "huge-integer", "not-json"],
+)
+def test_unreadable_json_file_is_usage_error(
+    tmp_path, capsys, command, content, message
+):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    if command == "gen":
+        argv = ["gen", "--spec", str(path), "-o", str(tmp_path / "gen.json")]
+        kind = "unreadable generator spec"
+    else:
+        argv = [command, "--instance", str(path)]
+        kind = "unreadable instance file"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert kind in err and message in err

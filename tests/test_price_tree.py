@@ -25,6 +25,7 @@ from tree_reference import (
     belongs,
     bin_indices,
     children,
+    contains,
     nested_canonical_vectors,
     nested_tree,
     nodes,
@@ -99,14 +100,14 @@ class TestBins:
     def test_single_point_bin(self):
         bins = build_bins(Params(2, 1, Fraction(40), Fraction(5), Fraction(5)))
         assert len(bins.cells) == 1
-        assert bins.cells[0].contains(Fraction(5))
+        assert contains(bins.cells[0], Fraction(5))
         assert bins.cells[0].price == 5
 
     def test_membership(self):
         bins = build_bins(FOUR_BINS)
 
         def owners(price):
-            return [c.index for c in bins.cells if c.contains(price)]
+            return [c.index for c in bins.cells if contains(c, price)]
 
         assert owners(Fraction(1)) == [1]
         assert owners(Fraction(4)) == [2]

@@ -14,6 +14,7 @@ from auctionlab.valuations import (
     ENUMERATION_CAP,
     KNAPSACK_CELL_CAP,
     Valuation,
+    _demand_enumerate,
     _demand_knapsack,
     additive,
     budget_additive,
@@ -25,6 +26,7 @@ from auctionlab.valuations import (
     value_query,
     xos,
 )
+from demand_reference import reference_demand
 
 
 def enumerate_best_profit(valuation, prices, items):
@@ -434,6 +436,7 @@ class TestDemandQuery:
             )
             prices = tuple(Fraction(rng.randint(0, 6), 4) for _ in range(m))
             bundle = _demand_knapsack(v, prices, tuple(range(m)))
+            assert bundle == _demand_enumerate(v, prices, tuple(range(m)))
             profit = value_query(v, bundle) - sum(
                 (prices[j] for j in bundle), Fraction(0)
             )
@@ -455,7 +458,7 @@ class TestDemandQuery:
                 )
                 allowed = tuple(j for j in range(m) if rng.random() < 0.8)
                 bundle = _demand_knapsack(v, prices, allowed)
-                assert bundle <= set(allowed)
+                assert bundle == reference_demand(v, prices, allowed)
                 profit = value_query(v, bundle) - sum(
                     (prices[j] for j in bundle), Fraction(0)
                 )
@@ -467,6 +470,67 @@ class TestDemandQuery:
         assert sum(v.rows[0]) + 1 > KNAPSACK_CELL_CAP
         with pytest.raises(CapabilityError, match="knapsack table"):
             demand_query(v, (Fraction(1),) * m)
+
+
+@st.composite
+def tie_heavy_queries(draw, max_items=9, families=(True, False)):
+    """A valuation, prices and an allowed set drawn from few small numbers,
+    so that many bundles share the best profit: entries in 0..5 on a grid of
+    1 or 2, prices in 0..5 over 1, 2 or 3. ``families`` holds whether the
+    valuation may be XOS."""
+    m = draw(st.integers(min_value=0, max_value=max_items))
+    entry = st.integers(min_value=0, max_value=5)
+    grid = draw(st.sampled_from([1, 2]))
+    if draw(st.sampled_from(families)):
+        rows = draw(
+            st.lists(st.lists(entry, min_size=m, max_size=m), min_size=1, max_size=4)
+        )
+        v = on_grid(grid, rows)
+    else:
+        row = draw(st.lists(entry, min_size=m, max_size=m))
+        v = on_grid(grid, [row], draw(st.integers(min_value=0, max_value=15)))
+    prices = tuple(
+        Fraction(draw(entry), draw(st.sampled_from([1, 2, 3]))) for _ in range(m)
+    )
+    flags = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    allowed = tuple(j for j in range(m) if flags[j])
+    return v, prices, allowed
+
+
+class TestOneDemandRule:
+    """Every backend returns the reference scan's bundle: the largest profit,
+    then the fewest items, then the lexicographically smallest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(query=tie_heavy_queries())
+    def test_enumeration_matches_reference(self, query):
+        v, prices, allowed = query
+        expected = reference_demand(v, prices, allowed)
+        assert _demand_enumerate(v, prices, allowed) == expected
+        assert demand_query(v, prices, allowed) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(query=tie_heavy_queries(max_items=8, families=(False,)))
+    def test_knapsack_matches_reference(self, query):
+        v, prices, allowed = query
+        bundle = _demand_knapsack(v, prices, allowed)
+        assert bundle == reference_demand(v, prices, allowed)
+        assert bundle == _demand_enumerate(v, prices, allowed)
+
+    def test_knapsack_tie_break_past_the_cap(self):
+        # Every five-item bundle has the best profit, 5 - 5/2; the rule
+        # picks the first five items.
+        m = ENUMERATION_CAP + 2
+        v = budget_additive([1] * m, 5)
+        assert demand_query(v, (Fraction(1, 2),) * m) == frozenset(range(5))
+        # Items 0 and 1 cost more, so the first five affordable ones win.
+        prices = (Fraction(2),) * 2 + (Fraction(1, 2),) * (m - 2)
+        assert demand_query(v, prices) == frozenset(range(2, 7))
+        # {0}, {1} and {0, 1} all have profit 1, at value sums 2, 1 and 3;
+        # the rule picks the single item 0, not the smallest value sum.
+        v = budget_additive([2, 1] + [0] * (m - 2), 2)
+        prices = (Fraction(1), Fraction(0)) + (Fraction(1),) * (m - 2)
+        assert demand_query(v, prices) == {0}
 
 
 class TestSupportingPrices:

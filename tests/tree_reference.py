@@ -3,7 +3,7 @@
 ``PriceTree`` holds only its row of leaf cells and locates prices by their
 places. The scans here answer the same questions from the cells themselves:
 a node is a block of contiguous leaves, a price belongs to it when one of
-the block's real bins contains it (``BinCell.contains``), and it strongly
+the block's real bins contains it (``contains``), and it strongly
 belongs to it when it equals the block's first price. ``nested_tree`` is the
 construction the leaf row replaced: leaf nodes grouped alpha at a time, level
 by level, each node holding its cells and its children.
@@ -31,9 +31,19 @@ def children(cells: tuple[BinCell, ...], alpha: int) -> list[tuple[BinCell, ...]
     return [cells[k * width : (k + 1) * width] for k in range(alpha)]
 
 
+def contains(cell: BinCell, price: Fraction) -> bool:
+    """True iff the price falls inside the cell's bin: half-open, closed at
+    the top for the last real bin; a dummy cell contains no price."""
+    if cell.index is None:
+        return False
+    if cell.closed:
+        return cell.price <= price <= cell.upper
+    return cell.price <= price < cell.upper
+
+
 def belongs(cells: tuple[BinCell, ...], price: Fraction) -> bool:
     """True iff the price falls inside one of the block's real bins."""
-    return any(c.contains(price) for c in cells)
+    return any(contains(c, price) for c in cells)
 
 
 def bin_indices(cells: tuple[BinCell, ...]) -> tuple[int, ...]:
