@@ -43,7 +43,8 @@ class Allocation:
                 )
             seen |= bundle
         for bidder, pay in self.payments.items():
-            if pay < 0:
+            # The sign of the numerator: no Fraction comparison.
+            if pay.numerator < 0:
                 raise InvariantViolationError(f"bidder {bidder} pays {pay} < 0")
 
     def bundle(self, bidder: int) -> ItemSet:
@@ -66,7 +67,8 @@ class Allocation:
 
 @dataclass
 class QueryLog:
-    """Per-bidder demand/value query tally, filled in by the auctions."""
+    """Per-bidder demand/value query tally, filled in by the auctions, each
+    with one ``Counter.update`` per call."""
 
     demand: Counter = field(default_factory=Counter)
     value: Counter = field(default_factory=Counter)
@@ -91,11 +93,11 @@ def fixed_price_auction(
     payments: dict[int, Fraction] = {}
     for bidder_id, valuation in bidders:
         taken = demand_query(valuation, prices, allowed=remaining)
-        if query_log is not None:
-            query_log.demand[bidder_id] += 1
         bundles[bidder_id] = taken
         payments[bidder_id] = sum((prices[j] for j in taken), Fraction(0))
         remaining -= taken
+    if query_log is not None:
+        query_log.demand.update([bidder_id for bidder_id, _ in bidders])
     return Allocation(bundles, payments)
 
 
@@ -109,18 +111,25 @@ def second_price_grand_bundle(
 
     The winner (lowest index on ties) pays the second-highest grand-bundle
     value, or 0 when alone. One value query per bidder.
+
+    The answers are ranked as integers on the least common multiple of
+    their denominators, so no ``Fraction`` is compared. The price is the
+    runner-up's answer itself, for the whole item set its valuation's cached
+    ``grand_value``, so none is built either.
     """
     if not bidders:
         raise DomainError("second-price auction needs at least one bidder")
     grand = frozenset(items)
-    values = []
-    for bidder_id, valuation in bidders:
-        values.append(value_query(valuation, grand))
-        if query_log is not None:
-            query_log.value[bidder_id] += 1
-    winner_pos = values.index(max(values))
-    price = max(values[:winner_pos] + values[winner_pos + 1 :], default=Fraction(0))
-    winner_id = bidders[winner_pos][0]
+    values = [value_query(valuation, grand) for _, valuation in bidders]
+    if query_log is not None:
+        query_log.value.update([bidder_id for bidder_id, _ in bidders])
+    # Each answer a/b as the integer a * (grid // b) on one common grid.
+    grid = lcm(*(value.denominator for value in values))
+    keys = [value.numerator * (grid // value.denominator) for value in values]
+    # A stable sort, reversed, keeps equal keys in bidder order.
+    winner, *rest = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    price = values[rest[0]] if rest else ZERO
+    winner_id = bidders[winner][0]
     return Allocation({winner_id: grand}, {winner_id: price})
 
 
@@ -153,8 +162,8 @@ def greedy_marginal_value(
             count = next(c for c in counts if not 0 <= j < c)
             raise InstanceShapeError(f"item {j} outside 0..{count - 1}")
         if query_log is not None:
-            for bidder_id, _ in bidders:
-                query_log.value[bidder_id] += len(order)
+            ids = [bidder_id for bidder_id, _ in bidders]
+            query_log.value.update(ids * len(order))
     # Per bidder: its cap and scale, its entries item by item, and its sums.
     grids = [(v.cap, v.scale) for _, v in bidders]
     columns = [v.columns for _, v in bidders]

@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Optional, Sequence
 
 from .auction import (
@@ -286,26 +287,41 @@ def _range_tree(params: Params, parity: str) -> PriceTree:
 
 
 @lru_cache(maxsize=32)
-def _unit_tree(ratio: Fraction, parity: str) -> PriceTree:
-    """The modified price tree of [1, ratio]. (alpha, beta, gamma) depend on
-    the ratio alone, and every price of the tree of [psi_min, psi_max] is
-    psi_min times the matching price here: bins are psi_min * gamma^k and
-    dummies psi_max * gamma^k. One tree serves every range of a shape."""
-    return build_modified_tree(build_bins(solve_parameters(1, ratio)), parity)
+def _unit_tree(num: int, den: int, parity: str) -> PriceTree:
+    """The modified price tree of [1, ratio], the ratio given in lowest
+    terms as ``num / den``. (alpha, beta, gamma) depend on the ratio alone,
+    and every price of the tree of [psi_min, psi_max] is psi_min times the
+    matching price here: bins are psi_min * gamma^k and dummies
+    psi_max * gamma^k. One tree serves every range of a shape."""
+    params = solve_parameters(1, Fraction(num, den))
+    return build_modified_tree(build_bins(params), parity)
+
+
+# A price range [psi_min, psi_max] as integers: (numerator, denominator) of
+# each end, in lowest terms or not.
+Bounds = tuple[int, int, int, int]
 
 
 @lru_cache(maxsize=32)
 def _first_prices(
-    psi_min: Fraction, psi_max: Fraction, parity: str, m: int
+    bounds: Bounds, parity: str, m: int
 ) -> tuple[Params, PriceVector, tuple[PriceVector, ...], tuple[PriceVector, ...]]:
     """A range's parameters, its root price vector over ``m`` items, and
     iteration 1's alpha canonical vectors with their halves, scaled from the
     unit tree of the range's ratio. The root vector is constant, so
     iteration 1's vectors are the constant vectors of the root's children.
     All of it is frozen: replays of a tape against different reports share
-    it. The cache is small because a sweep revisits only a few ranges."""
+    it. The cache is small because a sweep revisits only a few ranges.
+
+    The range comes as integer ``Bounds``, so a cache hit hashes and
+    compares ints only. On a miss the ends become ``Fraction``s here, and
+    the unit tree is looked up by the ratio's integer terms."""
+    lo_num, lo_den, hi_num, hi_den = bounds
+    psi_min, psi_max = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
     check_range(psi_min, psi_max)
-    unit = _unit_tree(psi_max / psi_min, parity)
+    num, den = hi_num * lo_den, hi_den * lo_num
+    g = gcd(num, den)
+    unit = _unit_tree(num // g, den // g, parity)
     unit_params = unit.params
     params = Params(
         unit_params.alpha, unit_params.beta, unit_params.gamma, psi_min, psi_max
@@ -332,31 +348,26 @@ def price_learning_mechanism(
     demand-queried at most alpha times: alpha times if its group's iteration
     was reached, once for the final group, never otherwise.
     """
-    # Fixed-price auctions ask demand queries and never value queries.
-    return MechanismOutcome(
-        value_queries={},
-        **_learning_run(bidders, m, as_rational(psi_min), as_rational(psi_max), tape),
-    )
+    lo, hi = as_rational(psi_min), as_rational(psi_max)
+    bounds = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    return MechanismOutcome(**_learning_run(bidders, m, bounds, tape, QueryLog()))
 
 
 def _learning_run(
-    bidders: Sequence[Bidder],
-    m: int,
-    psi_min: Fraction,
-    psi_max: Fraction,
-    tape: CoinTape,
+    bidders: Sequence[Bidder], m: int, bounds: Bounds, tape: CoinTape, log: QueryLog
 ) -> dict:
-    """The learning mechanism's run, as the ``MechanismOutcome`` fields it
-    decides; the caller adds the value queries. Each auction is valued once,
-    into its iteration's record."""
+    """The learning mechanism's run over the range ``bounds``, as the
+    ``MechanismOutcome`` fields it decides. Its auctions' demand queries go
+    into ``log``, and the outcome's query counts are the log's: fixed-price
+    auctions ask no value queries, so any there are the caller's. Each
+    auction is valued once, into its iteration's record."""
     parity = tape.tree_parity()
-    params, prices, vectors, halves = _first_prices(psi_min, psi_max, parity, m)
+    params, prices, vectors, halves = _first_prices(bounds, parity, m)
     ids = [b for b, _ in bidders]
     by_id = dict(bidders)
     groups = partition_bidders(ids, params.beta, tape)
     items = range(m)
 
-    log = QueryLog()
     learned = [prices]
     records: list[IterationRecord] = []
     selected: Optional[Allocation] = None
@@ -405,6 +416,7 @@ def _learning_run(
         branch=branch,
         stop_iteration=stop_iteration,
         j_star=j_star,
+        value_queries=dict(log.value),
         demand_queries=dict(log.demand),
         learned_prices=tuple(learned),
         params=params,
@@ -435,14 +447,21 @@ def final_mechanism(
     [A/m^2, 8A], and run the learning mechanism on everyone else. The
     statistics group never receives items and never pays. A zero statistic
     (all sampled valuations worthless) degenerates the range to [1, 1].
+
+    The second-price outcome's welfare is the winner's answer for its lot,
+    for the whole item set its cached ``grand_value``, with no other bidder
+    valued. The range is worked out on the statistic's integer numerator
+    and denominator and passed on as ``Bounds``; its ``Fraction`` ends are
+    built only when the range's first prices are not cached yet.
     """
     check_market(bidders, m)
     if tape.second_price_branch():
         log = QueryLog()
         allocation = second_price_grand_bundle(bidders, range(m), query_log=log)
+        ((winner, lot),) = allocation.bundles.items()
         return MechanismOutcome(
             allocation=allocation,
-            welfare=welfare(allocation, dict(bidders)),
+            welfare=next(value_query(v, lot) for b, v in bidders if b == winner),
             branch=SECOND_PRICE,
             value_queries=dict(log.value),
         )
@@ -453,20 +472,19 @@ def final_mechanism(
 
     log = QueryLog()
     stat_welfare = greedy_marginal_value(stat, range(m), query_log=log)
-    if stat_welfare > 0:
-        psi_min = stat_welfare / (m * m)
-        psi_max = 8 * stat_welfare
-    else:
-        psi_min = psi_max = Fraction(1)
-
-    # The inner mechanism asks no value queries, so the statistic's are all
-    # there are.
     return MechanismOutcome(
-        value_queries=dict(log.value),
         statistics_group=tuple(b for b, _ in stat),
         statistics_welfare=stat_welfare,
-        **_learning_run(mech, m, psi_min, psi_max, tape),
+        **_learning_run(mech, m, _statistic_bounds(stat_welfare, m), tape, log),
     )
+
+
+def _statistic_bounds(statistic: Fraction, m: int) -> Bounds:
+    """The price range [W/m^2, 8W] of a statistic W over ``m`` items, as
+    ``Bounds`` worked out on W's numerator and denominator; [1, 1] when W is
+    zero."""
+    num, den = statistic.numerator, statistic.denominator
+    return (num, den * m * m, 8 * num, den) if num else (1, 1, 1, 1)
 
 
 def bidder_utility(

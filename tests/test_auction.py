@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionlab.auction import (
     Allocation,
@@ -16,6 +18,8 @@ from auctionlab.auction import (
 from auctionlab.errors import DomainError, InstanceShapeError
 from auctionlab.oracle import brute_force_opt, welfare
 from auctionlab.valuations import additive, budget_additive, value_query, xos
+
+from mechanism_reference import FAMILIES, reference_second_price, valuations
 
 
 def reference_greedy(bidders, items, *, query_log=None):
@@ -174,6 +178,42 @@ class TestSecondPriceGrandBundle:
         bidders = [(4, additive((3, 4))), (9, additive((6, 4))), (2, xos((1, 1)))]
         alloc = second_price_grand_bundle(bidders, {0, 1})
         assert alloc == Allocation({9: frozenset({0, 1})}, {9: Fraction(7)})
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_fraction_reference(self, data):
+        """The integer ranking gives the ``Fraction`` reference's winner,
+        payment, allocation and value-query counts, in key order, on mixed
+        grids: one to 100 bidders of every family, caps below and above the
+        row sum, zero grand values, and all grand values equal."""
+        m = data.draw(st.integers(0, 5), label="m")
+        n = data.draw(st.one_of(st.integers(1, 6), st.integers(1, 100)), label="n")
+        ids = data.draw(
+            st.lists(st.integers(0, 999), min_size=n, max_size=n, unique=True)
+        )
+        # All grand values equal to grand / 300, or each drawn freely.
+        grand = data.draw(
+            st.one_of(st.none(), st.just(0), st.integers(0, 900)), label="grand"
+        )
+        if not m:
+            grand = None
+        bidders = [
+            (b, data.draw(valuations(m, data.draw(st.sampled_from(FAMILIES)), grand)))
+            for b in ids
+        ]
+        items = data.draw(st.permutations(range(m)), label="items")
+        fast_log, slow_log = QueryLog(), QueryLog()
+        # Tallies add to what a log already holds.
+        fast_log.value[ids[-1]] = slow_log.value[ids[-1]] = 2
+        fast = second_price_grand_bundle(bidders, items, query_log=fast_log)
+        slow = reference_second_price(bidders, items, query_log=slow_log)
+        assert fast == slow
+        assert list(fast.payments.items()) == list(slow.payments.items())
+        assert list(fast_log.value.items()) == list(slow_log.value.items())
+        if grand is not None:
+            # Equal values: the first bidder wins and pays its own value.
+            assert fast.bundle(ids[0]) == frozenset(range(m))
+            assert fast.payment(ids[0]) == (Fraction(grand, 300) if n > 1 else 0)
 
 
 class TestGreedyMarginalValue:

@@ -6,7 +6,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -17,9 +17,7 @@ import auctionlab
 from auctionlab import harness
 from auctionlab.auction import (
     Allocation,
-    QueryLog,
     fixed_price_auction,
-    greedy_marginal_value,
     second_price_grand_bundle,
 )
 from auctionlab.errors import DomainError, InvariantViolationError
@@ -33,6 +31,7 @@ from auctionlab.mechanism import (
     _first_prices,
     _halve,
     _range_tree,
+    _statistic_bounds,
     _unit_tree,
     bidder_utility,
     final_mechanism,
@@ -52,8 +51,17 @@ from auctionlab.price_tree import (
     canonical_vectors,
     solve_parameters,
 )
+from auctionlab.rationals import ZERO
 from auctionlab.valuations import additive, budget_additive, value_query, xos
 
+from mechanism_reference import (
+    FAMILIES,
+    bounds_of,
+    reference_final_mechanism,
+    reference_first_prices,
+    reference_range,
+    valuations,
+)
 from tree_reference import strong_node
 
 
@@ -421,7 +429,8 @@ class TestPriceLearningMechanism:
             tree = build_modified_tree(build_bins(fresh), parity)
             assert _range_tree(fresh, parity) == tree
             for m in (0, 1, 3, 8):
-                params, root, vectors, halves = _first_prices(lo, hi, parity, m)
+                bounds = bounds_of(lo, hi)
+                params, root, vectors, halves = _first_prices(bounds, parity, m)
                 assert params == fresh
                 assert root == (tree.prices(1)[0],) * m
                 reference = canonical_vectors(tree, root, 1)
@@ -544,7 +553,7 @@ class TestPricesByShape:
             fresh = solve_parameters(lo, hi)
             wide += fresh.beta == 2
             tree = build_modified_tree(build_bins(fresh), parity)
-            params, root, vectors, halves = _first_prices(lo, hi, parity, m)
+            params, root, vectors, halves = _first_prices(bounds_of(lo, hi), parity, m)
             assert params == fresh
             assert root == (tree.prices(1)[0],) * m
             reference = canonical_vectors(tree, root, 1)
@@ -554,6 +563,37 @@ class TestPricesByShape:
             assert run.tree == build_modified_tree(build_bins(fresh), run.parity)
         assert wide >= 150
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num=st.integers(0, 10**7),
+        den=st.one_of(st.sampled_from((1, 2, 3, 100, 300)), st.integers(1, 10**4)),
+        m=st.integers(1, 20),
+        parity=st.sampled_from((ODD, EVEN)),
+    )
+    def test_statistic_range_matches_fraction_reference(self, num, den, m, parity):
+        """The range worked out on the statistic's numerator and
+        denominator, and the first prices looked up by its ``Bounds``, equal
+        the ``Fraction`` range [W/m^2, 8W] (or [1, 1]) and the first prices
+        keyed by its ends, on a cache miss and on a hit."""
+        stat = Fraction(num, den)
+        lo, hi = reference_range(stat, m)
+        bounds = _statistic_bounds(stat, m)
+        assert (Fraction(*bounds[:2]), Fraction(*bounds[2:])) == (lo, hi)
+        reference = reference_first_prices(lo, hi, parity, m)
+        _first_prices.cache_clear()
+        assert _first_prices(bounds, parity, m) == reference
+        assert _first_prices(bounds, parity, m) == reference
+        assert _first_prices.cache_info().hits == 1
+        # The ends in lowest terms name the same range.
+        assert _first_prices(bounds_of(lo, hi), parity, m) == reference
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_zero_statistic_range_is_one_one(self, m):
+        assert _statistic_bounds(ZERO, m) == (1, 1, 1, 1)
+        params = _first_prices((1, 1, 1, 1), ODD, m)[0]
+        assert params.psi_min == params.psi_max == 1
+        assert params == solve_parameters(1, 1)
+
     def test_one_unit_tree_per_shape(self):
         _first_prices.cache_clear()
         _unit_tree.cache_clear()
@@ -561,7 +601,7 @@ class TestPricesByShape:
         for _ in range(50):
             a = Fraction(rng.randint(1, 10**6), rng.randint(1, 100))
             for parity in (ODD, EVEN):
-                _first_prices(a / 36, 8 * a, parity, 6)
+                _first_prices(bounds_of(a / 36, 8 * a), parity, 6)
         assert _unit_tree.cache_info().misses == 2
 
     @pytest.mark.parametrize(
@@ -580,38 +620,7 @@ class TestPricesByShape:
         with pytest.raises(DomainError, match=message):
             price_learning_mechanism([], 2, psi_min, psi_max, CoinTape(0))
         with pytest.raises(DomainError, match=message):
-            _first_prices(Fraction(psi_min), Fraction(psi_max), ODD, 2)
-
-
-def reference_final_mechanism(bidders, m, tape):
-    """The top-level mechanism as it was built from the learning run's
-    outcome through ``dataclasses.replace``: the reference for the outcome
-    built once."""
-    if tape.second_price_branch():
-        log = QueryLog()
-        allocation = second_price_grand_bundle(bidders, range(m), query_log=log)
-        return MechanismOutcome(
-            allocation=allocation,
-            welfare=welfare(allocation, dict(bidders)),
-            branch=SECOND_PRICE,
-            value_queries=dict(log.value),
-        )
-    flags = tape.sample_statistics_group(len(bidders))
-    stat = [b for b, f in zip(bidders, flags) if f]
-    mech = [b for b, f in zip(bidders, flags) if not f]
-    log = QueryLog()
-    stat_welfare = greedy_marginal_value(stat, range(m), query_log=log)
-    if stat_welfare > 0:
-        psi_min, psi_max = stat_welfare / (m * m), 8 * stat_welfare
-    else:
-        psi_min = psi_max = Fraction(1)
-    inner = price_learning_mechanism(mech, m, psi_min, psi_max, tape)
-    return replace(
-        inner,
-        value_queries=dict(log.value),
-        statistics_group=tuple(b for b, _ in stat),
-        statistics_welfare=stat_welfare,
-    )
+            _first_prices(bounds_of(psi_min, psi_max), ODD, 2)
 
 
 class TestFinalMechanism:
@@ -690,8 +699,10 @@ class TestFinalMechanism:
     @pytest.mark.parametrize("family", harness.FAMILIES)
     def test_one_outcome_matches_replaced_learning_outcome(self, family):
         """``final_mechanism`` builds its outcome once; it equals, field by
-        field and in query-count key order, the learning run's own outcome
-        with the statistic's fields put in by ``replace``."""
+        field and in query-count key order, the reference's: the
+        ``Fraction`` second-price auction, or the learning run's own outcome
+        on the ``Fraction`` range with the statistic's fields put in by
+        ``replace``."""
         instance = harness.generate_instance(
             harness.GeneratorSpec(24, 4, family, seed=31)
         )
@@ -707,6 +718,33 @@ class TestFinalMechanism:
                 if isinstance(a, dict):
                     assert list(a.items()) == list(b.items()), (seed, f.name)
         assert branches == {SECOND_PRICE, LEARNING_STOPPED}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        family=st.sampled_from(FAMILIES),
+        n=st.integers(1, 8),
+        m=st.integers(1, 4),
+    )
+    def test_outcome_matches_fraction_reference(self, data, family, n, m):
+        """On both branches, ``final_mechanism`` equals the reference built
+        from the ``Fraction`` second-price auction and the ``Fraction``
+        range, field by field and in query-count key order, for bidders of
+        one family on mixed grids, with zero values and ties among them."""
+        # All grand values equal to grand / 300, or each drawn freely.
+        grand = data.draw(st.one_of(st.none(), st.integers(0, 900)), label="grand")
+        bidders = [(b, data.draw(valuations(m, family, grand))) for b in range(n)]
+        branches = set()
+        for seed in range(8):
+            fast = final_mechanism(bidders, m, CoinTape(seed))
+            slow = reference_final_mechanism(bidders, m, CoinTape(seed))
+            branches.add(fast.branch == SECOND_PRICE)
+            for f in fields(MechanismOutcome):
+                a, b = getattr(fast, f.name), getattr(slow, f.name)
+                assert a == b, (seed, f.name)
+                if isinstance(a, dict):
+                    assert list(a.items()) == list(b.items()), (seed, f.name)
+        assert branches == {True, False}
 
 
 class TestOutcomeAllocation:
