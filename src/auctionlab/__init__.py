@@ -8,7 +8,6 @@ diagnostics that compare the two.
 from .auction import (
     Allocation,
     PriceVector,
-    QueryLog,
     fixed_price_auction,
     greedy_marginal_value,
     second_price_grand_bundle,

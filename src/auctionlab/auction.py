@@ -2,17 +2,19 @@
 
 These are the three building blocks the mechanism composes. They are pure
 functions of an *ordered* bidder list ``[(bidder_id, valuation), ...]``; any
-randomization (arrival order, coin flips) happens in the caller.
+randomization (arrival order, coin flips) happens in the caller. Each asks a
+fixed number of queries per bidder, stated in its docstring, so the
+mechanism reads its query counts off what it ran and the auctions count
+nothing.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InstanceShapeError, InvariantViolationError
 from .rationals import ZERO
@@ -65,28 +67,20 @@ class Allocation:
         return sum(self.payments.values(), ZERO)
 
 
-@dataclass
-class QueryLog:
-    """Per-bidder demand/value query tally, filled in by the auctions, each
-    with one ``Counter.update`` per call."""
-
-    demand: Counter = field(default_factory=Counter)
-    value: Counter = field(default_factory=Counter)
-
-
 def fixed_price_auction(
     bidders: Sequence[Bidder],
     items: Iterable[int],
     prices: PriceVector,
-    *,
-    query_log: Optional[QueryLog] = None,
 ) -> Allocation:
     """Sequential posted-price sale.
 
     Bidders arrive in list order; each takes a profit-maximizing bundle from
     the items still available at the posted prices and pays the posted price
-    of what it takes. One demand query per bidder. Individually rational by
-    construction: the empty bundle is always available.
+    of what it takes. One demand query per bidder, and every bidder who
+    arrives is named in ``bundles``, with an empty bundle and a zero payment
+    when it takes nothing, so the keys of ``bundles`` are the bidders it
+    queried. Individually rational by construction: the empty bundle is
+    always available.
     """
     remaining = set(items)
     bundles: dict[int, ItemSet] = {}
@@ -96,16 +90,11 @@ def fixed_price_auction(
         bundles[bidder_id] = taken
         payments[bidder_id] = sum((prices[j] for j in taken), Fraction(0))
         remaining -= taken
-    if query_log is not None:
-        query_log.demand.update([bidder_id for bidder_id, _ in bidders])
     return Allocation(bundles, payments)
 
 
 def second_price_grand_bundle(
-    bidders: Sequence[Bidder],
-    items: Iterable[int],
-    *,
-    query_log: Optional[QueryLog] = None,
+    bidders: Sequence[Bidder], items: Iterable[int]
 ) -> Allocation:
     """Sell all items as one lot to the highest grand-bundle value.
 
@@ -121,8 +110,6 @@ def second_price_grand_bundle(
         raise DomainError("second-price auction needs at least one bidder")
     grand = frozenset(items)
     values = [value_query(valuation, grand) for _, valuation in bidders]
-    if query_log is not None:
-        query_log.value.update([bidder_id for bidder_id, _ in bidders])
     # Each answer a/b as the integer a * (grid // b) on one common grid.
     grid = lcm(*(value.denominator for value in values))
     keys = [value.numerator * (grid // value.denominator) for value in values]
@@ -133,12 +120,7 @@ def second_price_grand_bundle(
     return Allocation({winner_id: grand}, {winner_id: price})
 
 
-def greedy_marginal_value(
-    bidders: Sequence[Bidder],
-    items: Iterable[int],
-    *,
-    query_log: Optional[QueryLog] = None,
-) -> Fraction:
+def greedy_marginal_value(bidders: Sequence[Bidder], items: Iterable[int]) -> Fraction:
     """Welfare of the greedy 2-approximation for submodular-like inputs.
 
     Items are scanned in increasing index order and each goes to the bidder
@@ -150,7 +132,8 @@ def greedy_marginal_value(
     grid, one per row and capped by ``cap`` when there is one, so a gain
     costs one addition per row. Gains on different grids are compared
     exactly by cross-multiplying with the grids' scales. Every
-    (item, bidder) pair counts as one value query.
+    (item, bidder) pair counts as one value query: ``len(set(items))`` per
+    bidder.
     """
     order = sorted(set(items))
     if bidders and order:
@@ -161,9 +144,6 @@ def greedy_marginal_value(
             j = next(j for j in order if not 0 <= j < fewest)
             count = next(c for c in counts if not 0 <= j < c)
             raise InstanceShapeError(f"item {j} outside 0..{count - 1}")
-        if query_log is not None:
-            ids = [bidder_id for bidder_id, _ in bidders]
-            query_log.value.update(ids * len(order))
     # Per bidder: its cap and scale, its entries item by item, and its sums.
     grids = [(v.cap, v.scale) for _, v in bidders]
     columns = [v.columns for _, v in bidders]

@@ -13,9 +13,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .errors import ConfigError, DomainError, InvariantViolationError
+from .errors import ConfigError, InvariantViolationError
 from .instances import Instance, instance_to_dict, valuation_to_dict
 from .mechanism import (
     CoinTape,
@@ -127,33 +127,28 @@ class GeneratorSpec:
             raise ConfigError(f"bad generator spec: {exc}") from None
 
 
-class _CentsDraw(NamedTuple):
-    """Random exact values as numerators over a fixed ``grid``: a draw ``x``
-    stands for ``x / grid``."""
-
-    grid: int
-    draw: Callable[[random.Random], int]
+# A random exact value, drawn as its numerator over a grid the caller fixes.
+Draw = Callable[[random.Random], int]
 
 
-def _log_uniform_cents(lo: Fraction, hi: Fraction) -> _CentsDraw:
-    """Log-uniform draws from [lo, hi], quantized to cents, exactly in range.
+def _log_uniform_cents(low: int, high: int, grid: int) -> Draw:
+    """Log-uniform draws from [low / grid, high / grid], quantized to cents,
+    exactly in range, each as its numerator over ``grid``.
 
-    The grid is ``lcm(100, lo's and hi's denominators)``, so cents and both
-    bounds are whole numbers on it. The logs of the bounds and the cents
-    grid points inside [lo, hi] are worked out once per bound pair; each
-    draw takes one ``rng.uniform`` and clamps the rounded cents as integers.
-    A draw below the first cent inside the range gives ``lo`` and one above
-    the last gives ``hi``, so off-grid bounds are returned as they are. With
-    ``lo == hi`` a draw returns ``lo`` and takes nothing from ``rng``.
+    The caller fixes ``grid``, a multiple of 100, so cents are whole numbers
+    on it. The logs of the bounds (``low / grid`` is correctly rounded, as
+    the float of a ``Fraction`` is) and the cents grid points inside the
+    range are worked out once per bound pair; each draw takes one
+    ``rng.uniform`` and clamps the rounded cents as integers. A draw below
+    the first cent inside the range gives ``low`` and one above the last
+    gives ``high``, so off-cent bounds are returned as they are. With
+    ``low == high`` a draw returns ``low`` and takes nothing from ``rng``.
     """
-    grid = math.lcm(100, lo.denominator, hi.denominator)
-    low = lo.numerator * (grid // lo.denominator)
-    high = hi.numerator * (grid // hi.denominator)
-    if lo == hi:
-        return _CentsDraw(grid, lambda rng: low)
-    log_lo, log_hi = math.log(float(lo)), math.log(float(hi))
-    first, last = math.ceil(100 * lo), math.floor(100 * hi)
+    if low == high:
+        return lambda rng: low
+    log_lo, log_hi = math.log(low / grid), math.log(high / grid)
     cent = grid // 100
+    first, last = -(-low // cent), high // cent
 
     def draw(rng: random.Random) -> int:
         cents = round(math.exp(rng.uniform(log_lo, log_hi)) * 100)
@@ -163,14 +158,21 @@ def _log_uniform_cents(lo: Fraction, hi: Fraction) -> _CentsDraw:
             return high
         return cents * cent
 
-    return _CentsDraw(grid, draw)
+    return draw
+
+
+def _cents_grid(*bounds: Fraction) -> tuple[int, list[int]]:
+    """The least multiple of 100 on which every one of ``bounds`` is whole,
+    and the bounds as numerators over it."""
+    grid = math.lcm(100, *(x.denominator for x in bounds))
+    return grid, [x.numerator * grid // x.denominator for x in bounds]
 
 
 def generate_instance(spec: GeneratorSpec) -> Instance:
     rng = random.Random(spec.seed)
-    lo, hi = spec.value_range
     m = spec.item_count
-    grid, draw = _log_uniform_cents(lo, hi)
+    grid, (low, high) = _cents_grid(*spec.value_range)
+    draw = _log_uniform_cents(low, high, grid)
 
     def draw_row() -> list[int]:
         return [draw(rng) for _ in range(m)]
@@ -185,13 +187,8 @@ def generate_instance(spec: GeneratorSpec) -> Instance:
         else:
             values = draw_row()
             total = sum(values)
-            budget = 0
-            if total > 0:
-                # The budget's grid divides the values' grid.
-                sub, budget_draw = _log_uniform_cents(
-                    Fraction(max(values), grid), Fraction(total, grid)
-                )
-                budget = budget_draw(rng) * (grid // sub)
+            # The budget's bounds are on the values' grid already.
+            budget = _log_uniform_cents(max(values), total, grid)(rng) if total else 0
             valuations.append(on_grid(grid, [values], budget))
     return Instance(m, tuple(valuations))
 
@@ -352,24 +349,19 @@ LIE_VALUE_RANGE = (Fraction(1), Fraction(100))
 
 
 def _deviation(
-    rng: random.Random, m: int, entry: _CentsDraw, budget: _CentsDraw
+    rng: random.Random, m: int, grid: int, entry: Draw, budget: Draw
 ) -> Valuation:
     """A random lie: a worthless report, an XOS report of 1-3 clauses, or a
     budget-additive report, with entries and budget drawn by ``entry`` and
-    ``budget``."""
+    ``budget`` as numerators over ``grid``."""
     kind = rng.random()
     if kind < 0.15:
         return Valuation(1, ((0,) * m,))  # hide entirely
-    draw = entry.draw
     if kind < 0.55:
-        rows = [[draw(rng) for _ in range(m)] for _ in range(rng.randint(1, 3))]
-        return on_grid(entry.grid, rows)
-    values = [draw(rng) for _ in range(m)]
-    cap = budget.draw(rng)
-    grid = math.lcm(entry.grid, budget.grid)
-    if grid != entry.grid:
-        values = [x * (grid // entry.grid) for x in values]
-    return on_grid(grid, [values], cap * (grid // budget.grid))
+        rows = [[entry(rng) for _ in range(m)] for _ in range(rng.randint(1, 3))]
+        return on_grid(grid, rows)
+    values = [entry(rng) for _ in range(m)]
+    return on_grid(grid, [values], budget(rng))
 
 
 def _query_budget_check(outcome: MechanismOutcome, seed: int) -> list[dict]:
@@ -407,22 +399,25 @@ def truthfulness_report(
     bidder entry, and the instance, by ``instance_digest``, so that
     ``final_mechanism`` on ``CoinTape(seed)`` with the lie in place replays
     it on the instance it names. Also audits the per-bidder demand-query
-    budget of every run touched. A sweep with no runs would read clean
-    without checking anything, so ``seeds < 1`` or ``deviations < 0``
-    raises ``ConfigError``.
+    budget of every run touched; a violation found in a deviating run names
+    the deviator, the lie and the instance the same way. A sweep with no
+    runs would read clean without checking anything, so ``seeds < 1`` or
+    ``deviations < 0`` raises ``ConfigError``; a market the mechanism
+    refuses is refused by ``check_market``.
     """
     if seeds < 1:
         raise ConfigError(f"seeds must be at least 1, got {seeds}")
     if deviations < 0:
         raise ConfigError(f"deviations must be nonnegative, got {deviations}")
-    if instance.bidder_count == 0 or instance.item_count == 0:
-        raise DomainError("truthfulness sweep needs at least one bidder and item")
-    rng = random.Random(deviation_seed)
     bidders = instance.bidders()
     m = instance.item_count
+    check_market(bidders, m)
+    rng = random.Random(deviation_seed)
     lo, hi = LIE_VALUE_RANGE
-    entry = _log_uniform_cents(lo / 2, hi * 2)
-    budget = _log_uniform_cents(lo / 2, hi * m)
+    # One grid for entries and budgets, so lies are built as drawn.
+    grid, (low, high, top) = _cents_grid(lo / 2, hi * 2, hi * m)
+    entry = _log_uniform_cents(low, high, grid)
+    budget = _log_uniform_cents(low, top, grid)
     violations: list[dict] = []
     budget_violations: list[dict] = []
     runs = 0
@@ -440,24 +435,32 @@ def truthfulness_report(
         }
         for b, truth in bidders:
             for _ in range(deviations):
-                lie = _deviation(rng, m, entry, budget)
+                lie = _deviation(rng, m, grid, entry, budget)
                 twisted = list(bidders)
                 twisted[b] = (b, lie)
                 outcome = final_mechanism(twisted, m, tape.replay())
                 runs += 1
                 checked += 1
-                budget_violations.extend(_query_budget_check(outcome, seed))
+                over = _query_budget_check(outcome, seed)
                 utility = bidder_utility(outcome, b, truth)
-                if utility > base[b]:
-                    violations.append(
-                        {
-                            "seed": seed,
-                            "bidder": b,
-                            "gain": format_rational(utility - base[b]),
-                            "lie": valuation_to_dict(lie),
-                            "instance": instance_digest(instance),
-                        }
+                gains = utility > base[b]
+                if over or gains:
+                    replay = {
+                        "lie": valuation_to_dict(lie),
+                        "instance": instance_digest(instance),
+                    }
+                    budget_violations.extend(
+                        {**v, "deviator": b, **replay} for v in over
                     )
+                    if gains:
+                        violations.append(
+                            {
+                                "seed": seed,
+                                "bidder": b,
+                                "gain": format_rational(utility - base[b]),
+                                **replay,
+                            }
+                        )
     return TruthfulnessReport(
         runs=runs,
         deviations_checked=checked,

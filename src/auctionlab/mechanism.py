@@ -35,7 +35,6 @@ from .auction import (
     Allocation,
     Bidder,
     PriceVector,
-    QueryLog,
     fixed_price_auction,
     greedy_marginal_value,
     second_price_grand_bundle,
@@ -346,21 +345,23 @@ def price_learning_mechanism(
 
     Works for an empty bidder list (every auction is empty). Each bidder is
     demand-queried at most alpha times: alpha times if its group's iteration
-    was reached, once for the final group, never otherwise.
+    was reached, once for the final group, never otherwise. No bidder is
+    value-queried.
     """
     lo, hi = as_rational(psi_min), as_rational(psi_max)
     bounds = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-    return MechanismOutcome(**_learning_run(bidders, m, bounds, tape, QueryLog()))
+    return MechanismOutcome(value_queries={}, **_learning_run(bidders, m, bounds, tape))
 
 
 def _learning_run(
-    bidders: Sequence[Bidder], m: int, bounds: Bounds, tape: CoinTape, log: QueryLog
+    bidders: Sequence[Bidder], m: int, bounds: Bounds, tape: CoinTape
 ) -> dict:
     """The learning mechanism's run over the range ``bounds``, as the
-    ``MechanismOutcome`` fields it decides. Its auctions' demand queries go
-    into ``log``, and the outcome's query counts are the log's: fixed-price
-    auctions ask no value queries, so any there are the caller's. Each
-    auction is valued once, into its iteration's record."""
+    ``MechanismOutcome`` fields it decides, all but ``value_queries``:
+    fixed-price auctions ask none. Each auction is valued once, into its
+    iteration's record. A fixed-price auction names every bidder it
+    demand-queried in ``bundles``, so ``demand_queries`` counts those keys
+    over every auction held: each iteration's and a completed run's last."""
     parity = tape.tree_parity()
     params, prices, vectors, halves = _first_prices(bounds, parity, m)
     ids = [b for b, _ in bidders]
@@ -381,9 +382,7 @@ def _learning_run(
             halves = tuple(_halve(v) for v in vectors)
         group = [(b, by_id[b]) for b in groups[i - 1]]
         if group:
-            allocations = tuple(
-                fixed_price_auction(group, items, h, query_log=log) for h in halves
-            )
+            allocations = tuple(fixed_price_auction(group, items, h) for h in halves)
             welfares = tuple(welfare(a, by_id) for a in allocations)
         else:
             # What alpha auctions without bidders give. A fresh Allocation
@@ -403,12 +402,16 @@ def _learning_run(
         prices = price_update(allocations, vectors)
         learned.append(prices)
 
+    held = [a for record in records for a in record.allocations]
     if selected is None:
         final_group = [(b, by_id[b]) for b in groups[params.beta]]
-        selected = fixed_price_auction(
-            final_group, items, _halve(prices), query_log=log
-        )
+        selected = fixed_price_auction(final_group, items, _halve(prices))
         selected_welfare = welfare(selected, by_id)
+        held.append(selected)
+    demand: dict[int, int] = {}
+    for allocation in held:
+        for b in allocation.bundles:
+            demand[b] = demand.get(b, 0) + 1
 
     return dict(
         allocation=selected,
@@ -416,8 +419,7 @@ def _learning_run(
         branch=branch,
         stop_iteration=stop_iteration,
         j_star=j_star,
-        value_queries=dict(log.value),
-        demand_queries=dict(log.demand),
+        demand_queries=demand,
         learned_prices=tuple(learned),
         params=params,
         parity=parity,
@@ -452,30 +454,31 @@ def final_mechanism(
     for the whole item set its cached ``grand_value``, with no other bidder
     valued. The range is worked out on the statistic's integer numerator
     and denominator and passed on as ``Bounds``; its ``Fraction`` ends are
-    built only when the range's first prices are not cached yet.
+    built only when the range's first prices are not cached yet. Value
+    queries are counted by rule: one per bidder for the second-price
+    auction, one per item per statistics-group bidder for the statistic.
     """
     check_market(bidders, m)
     if tape.second_price_branch():
-        log = QueryLog()
-        allocation = second_price_grand_bundle(bidders, range(m), query_log=log)
+        allocation = second_price_grand_bundle(bidders, range(m))
         ((winner, lot),) = allocation.bundles.items()
         return MechanismOutcome(
             allocation=allocation,
             welfare=next(value_query(v, lot) for b, v in bidders if b == winner),
             branch=SECOND_PRICE,
-            value_queries=dict(log.value),
+            value_queries={b: 1 for b, _ in bidders},
         )
 
     flags = tape.sample_statistics_group(len(bidders))
     stat = [b for b, f in zip(bidders, flags) if f]
     mech = [b for b, f in zip(bidders, flags) if not f]
 
-    log = QueryLog()
-    stat_welfare = greedy_marginal_value(stat, range(m), query_log=log)
+    stat_welfare = greedy_marginal_value(stat, range(m))
     return MechanismOutcome(
+        value_queries={b: m for b, _ in stat},
         statistics_group=tuple(b for b, _ in stat),
         statistics_welfare=stat_welfare,
-        **_learning_run(mech, m, _statistic_bounds(stat_welfare, m), tape, log),
+        **_learning_run(mech, m, _statistic_bounds(stat_welfare, m), tape),
     )
 
 

@@ -1,15 +1,17 @@
-"""Reference second-price auction, price range and first prices, kept as test
-oracles.
+"""Reference second-price auction, greedy statistic, price range and first
+prices, kept as test oracles.
 
 ``auction.second_price_grand_bundle`` ranks the value-query answers on
-integers, and ``mechanism.final_mechanism`` works out the price range
-[W/m^2, 8W] on the statistic's integer numerator and denominator and looks up
-its first prices by integer ``Bounds``. The functions here are those steps as
-they were on ``Fraction``s: ``max`` and ``index`` over the answers, the range
-by ``Fraction`` arithmetic, and first prices keyed by the range's ends. The
-integer path must give exactly their winners, payments, allocations,
-value-query counts, ``Params`` and first vectors. ``valuations`` draws the
-bidders they are compared on.
+integers, ``auction.greedy_marginal_value`` keeps running integer sums, and
+``mechanism.final_mechanism`` works out the price range [W/m^2, 8W] on the
+statistic's integer numerator and denominator, looks up its first prices by
+integer ``Bounds`` and reads its value-query counts off the run. The
+functions here are those steps as they were on ``Fraction``s: ``max`` and
+``index`` over the answers, whole bundles re-summed, the range by
+``Fraction`` arithmetic, first prices keyed by the range's ends, and each
+value query tallied as it is asked. The integer path must give exactly their
+winners, payments, allocations, statistics, value-query counts, ``Params``
+and first vectors. ``valuations`` draws the bidders they are compared on.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from auctionlab.auction import Allocation, QueryLog, greedy_marginal_value
+from auctionlab.auction import Allocation
 from auctionlab.mechanism import (
     SECOND_PRICE,
     MechanismOutcome,
@@ -46,20 +48,48 @@ def bounds_of(psi_min, psi_max) -> tuple[int, int, int, int]:
     return lo.numerator, lo.denominator, hi.numerator, hi.denominator
 
 
-def reference_second_price(bidders, items, *, query_log=None) -> Allocation:
+def tally(counts, bidder_id) -> None:
+    """Count one query asked of ``bidder_id`` into ``counts``, if given."""
+    if counts is not None:
+        counts[bidder_id] = counts.get(bidder_id, 0) + 1
+
+
+def reference_second_price(bidders, items, value_queries=None) -> Allocation:
     """The grand-bundle auction on ``Fraction`` answers: one value query per
-    bidder, tallied as it is asked; the first largest answer wins and pays the
-    largest of the others, or 0 when alone."""
+    bidder, tallied into ``value_queries`` as it is asked; the first largest
+    answer wins and pays the largest of the others, or 0 when alone."""
     grand = frozenset(items)
     values = []
     for bidder_id, valuation in bidders:
         values.append(value_query(valuation, grand))
-        if query_log is not None:
-            query_log.value[bidder_id] += 1
+        tally(value_queries, bidder_id)
     winner_pos = values.index(max(values))
     price = max(values[:winner_pos] + values[winner_pos + 1 :], default=Fraction(0))
     winner_id = bidders[winner_pos][0]
     return Allocation({winner_id: grand}, {winner_id: price})
+
+
+def reference_greedy(bidders, items, value_queries=None) -> Allocation:
+    """The greedy allocation, re-summing whole bundles in ``Fraction``: the
+    reference whose welfare the integer running-sum statistic must equal.
+    Each value query is tallied into ``value_queries`` as it is asked."""
+    bundles = {bidder_id: set() for bidder_id, _ in bidders}
+    current = {bidder_id: Fraction(0) for bidder_id, _ in bidders}
+    for j in sorted(set(items)):
+        best_gain = Fraction(0)
+        best_bidder = None
+        for bidder_id, valuation in bidders:
+            gain = value_query(valuation, bundles[bidder_id] | {j}) - current[bidder_id]
+            tally(value_queries, bidder_id)
+            if gain > best_gain:
+                best_gain, best_bidder = gain, bidder_id
+        if best_bidder is not None:
+            bundles[best_bidder].add(j)
+            current[best_bidder] += best_gain
+    return Allocation(
+        {b: frozenset(s) for b, s in bundles.items()},
+        {b: Fraction(0) for b in bundles},
+    )
 
 
 def reference_range(stat_welfare: Fraction, m: int) -> tuple[Fraction, Fraction]:
@@ -90,26 +120,27 @@ def reference_first_prices(psi_min: Fraction, psi_max: Fraction, parity: str, m:
 def reference_final_mechanism(bidders, m, tape) -> MechanismOutcome:
     """The top-level mechanism from the references: the ``Fraction``
     second-price auction valued by ``oracle.welfare``, or the ``Fraction``
-    range handed to ``price_learning_mechanism`` and the statistic's fields
-    put into its outcome."""
+    greedy statistic and range handed to ``price_learning_mechanism`` and
+    the statistic's fields put into its outcome. The value-query counts are
+    the references' tallies."""
+    value_queries = {}
     if tape.second_price_branch():
-        log = QueryLog()
-        allocation = reference_second_price(bidders, range(m), query_log=log)
+        allocation = reference_second_price(bidders, range(m), value_queries)
         return MechanismOutcome(
             allocation=allocation,
             welfare=welfare(allocation, dict(bidders)),
             branch=SECOND_PRICE,
-            value_queries=dict(log.value),
+            value_queries=value_queries,
         )
     flags = tape.sample_statistics_group(len(bidders))
     stat = [b for b, f in zip(bidders, flags) if f]
     mech = [b for b, f in zip(bidders, flags) if not f]
-    log = QueryLog()
-    stat_welfare = greedy_marginal_value(stat, range(m), query_log=log)
+    greedy = reference_greedy(stat, range(m), value_queries)
+    stat_welfare = welfare(greedy, dict(stat))
     inner = price_learning_mechanism(mech, m, *reference_range(stat_welfare, m), tape)
     return replace(
         inner,
-        value_queries=dict(log.value),
+        value_queries=value_queries,
         statistics_group=tuple(b for b, _ in stat),
         statistics_welfare=stat_welfare,
     )

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auctionlab import auction
 from auctionlab.auction import (
     Allocation,
-    QueryLog,
     fixed_price_auction,
     greedy_marginal_value,
     second_price_grand_bundle,
@@ -19,30 +19,12 @@ from auctionlab.errors import DomainError, InstanceShapeError
 from auctionlab.oracle import brute_force_opt, welfare
 from auctionlab.valuations import additive, budget_additive, value_query, xos
 
-from mechanism_reference import FAMILIES, reference_second_price, valuations
-
-
-def reference_greedy(bidders, items, *, query_log=None):
-    """The greedy allocation, re-summing whole bundles in ``Fraction``: the
-    reference whose welfare the integer running-sum statistic must equal."""
-    bundles = {bidder_id: set() for bidder_id, _ in bidders}
-    current = {bidder_id: Fraction(0) for bidder_id, _ in bidders}
-    for j in sorted(set(items)):
-        best_gain = Fraction(0)
-        best_bidder = None
-        for bidder_id, valuation in bidders:
-            gain = value_query(valuation, bundles[bidder_id] | {j}) - current[bidder_id]
-            if query_log is not None:
-                query_log.value[bidder_id] += 1
-            if gain > best_gain:
-                best_gain, best_bidder = gain, bidder_id
-        if best_bidder is not None:
-            bundles[best_bidder].add(j)
-            current[best_bidder] += best_gain
-    return Allocation(
-        {b: frozenset(s) for b, s in bundles.items()},
-        {b: Fraction(0) for b in bundles},
-    )
+from mechanism_reference import (
+    FAMILIES,
+    reference_greedy,
+    reference_second_price,
+    valuations,
+)
 
 
 def random_xos(rng, m, hi=20):
@@ -140,12 +122,19 @@ class TestSecondPriceGrandBundle:
         assert alloc.payment(0) == 7
         assert alloc.bundle(1) == frozenset() and alloc.payment(1) == 0
 
-    def test_one_value_query_per_bidder_per_auction(self):
-        log = QueryLog()
+    def test_one_value_query_per_bidder_per_auction(self, monkeypatch):
         bidders = [(4, additive((5, 1))), (9, budget_additive((4, 4), 6))]
+        owner = {id(v): b for b, v in bidders}
+        asked = []
+
+        def counting(valuation, bundle):
+            asked.append((owner[id(valuation)], bundle))
+            return value_query(valuation, bundle)
+
+        monkeypatch.setattr(auction, "value_query", counting)
         for _ in range(3):
-            second_price_grand_bundle(bidders, range(2), query_log=log)
-        assert log.value == {4: 3, 9: 3}
+            second_price_grand_bundle(bidders, range(2))
+        assert asked == [(4, {0, 1}), (9, {0, 1})] * 3
 
     def test_single_bidder_pays_nothing(self):
         alloc = second_price_grand_bundle([(0, additive((10,)))], {0})
@@ -165,10 +154,8 @@ class TestSecondPriceGrandBundle:
             (8, xos(("7.5", 0), (1, "6.5"))),
             (3, additive(("7/3", "5"))),
         ]
-        log = QueryLog()
-        alloc = second_price_grand_bundle(bidders, {0, 1}, query_log=log)
+        alloc = second_price_grand_bundle(bidders, {0, 1})
         assert alloc == Allocation({2: frozenset({0, 1})}, {2: Fraction(15, 2)})
-        assert list(log.value.items()) == [(5, 1), (2, 1), (8, 1), (3, 1)]
 
     def test_no_bidders_rejected(self):
         with pytest.raises(DomainError):
@@ -183,9 +170,9 @@ class TestSecondPriceGrandBundle:
     @given(data=st.data())
     def test_matches_fraction_reference(self, data):
         """The integer ranking gives the ``Fraction`` reference's winner,
-        payment, allocation and value-query counts, in key order, on mixed
-        grids: one to 100 bidders of every family, caps below and above the
-        row sum, zero grand values, and all grand values equal."""
+        payment and allocation on mixed grids: one to 100 bidders of every
+        family, caps below and above the row sum, zero grand values, and all
+        grand values equal."""
         m = data.draw(st.integers(0, 5), label="m")
         n = data.draw(st.one_of(st.integers(1, 6), st.integers(1, 100)), label="n")
         ids = data.draw(
@@ -202,14 +189,10 @@ class TestSecondPriceGrandBundle:
             for b in ids
         ]
         items = data.draw(st.permutations(range(m)), label="items")
-        fast_log, slow_log = QueryLog(), QueryLog()
-        # Tallies add to what a log already holds.
-        fast_log.value[ids[-1]] = slow_log.value[ids[-1]] = 2
-        fast = second_price_grand_bundle(bidders, items, query_log=fast_log)
-        slow = reference_second_price(bidders, items, query_log=slow_log)
+        fast = second_price_grand_bundle(bidders, items)
+        slow = reference_second_price(bidders, items)
         assert fast == slow
         assert list(fast.payments.items()) == list(slow.payments.items())
-        assert list(fast_log.value.items()) == list(slow_log.value.items())
         if grand is not None:
             # Equal values: the first bidder wins and pays its own value.
             assert fast.bundle(ids[0]) == frozenset(range(m))
@@ -230,9 +213,9 @@ class TestGreedyMarginalValue:
 
     def test_matches_fraction_reference(self):
         """The statistic equals the welfare of the Fraction reference's
-        allocation, and value-query counts equal the reference's,
-        on entries with denominators 1-6 (so ties across different grids),
-        budgets that bind, many zero entries, and shuffled bidder ids."""
+        allocation on entries with denominators 1-6 (so ties across
+        different grids), budgets that bind, many zero entries, and shuffled
+        bidder ids."""
         rng = random.Random(35)
 
         def entry():
@@ -252,18 +235,16 @@ class TestGreedyMarginalValue:
                     budget = sum(values, Fraction(0)) * Fraction(rng.randint(0, 4), 4)
                     bidders.append((b, budget_additive(values, budget)))
             items = rng.sample(range(m), rng.randint(0, m))
-            fast_log, slow_log = QueryLog(), QueryLog()
-            fast = greedy_marginal_value(bidders, items, query_log=fast_log)
-            slow = reference_greedy(bidders, items, query_log=slow_log)
+            fast = greedy_marginal_value(bidders, items)
+            slow = reference_greedy(bidders, items)
             assert fast == welfare(slow, dict(bidders)), case
-            assert list(fast_log.value.items()) == list(slow_log.value.items()), case
 
     def test_item_outside_range_rejected(self):
         with pytest.raises(InstanceShapeError, match="item 2 outside 0..1"):
             greedy_marginal_value([(0, additive((3, 4)))], {0, 2})
         # Bidders with unequal item counts: the message names the first
         # offending (item, bidder) pair, items in increasing order, then
-        # bidders in list order, and no value query is counted.
+        # bidders in list order.
         bidders = [
             (0, additive((1, 2, 3, 4, 5))),
             (1, xos((1, 2, 3), (3, 2, 1))),
@@ -277,10 +258,8 @@ class TestGreedyMarginalValue:
             # A negative item comes first and every bidder lacks it.
             ({0, -1, 9}, "item -1 outside 0..4"),
         ]:
-            log = QueryLog()
             with pytest.raises(InstanceShapeError, match=f"^{re.escape(message)}$"):
-                greedy_marginal_value(bidders, items, query_log=log)
-            assert not log.value
+                greedy_marginal_value(bidders, items)
 
     def test_half_of_optimum_on_submodular_inputs(self):
         rng = random.Random(34)
@@ -302,11 +281,24 @@ class TestGreedyMarginalValue:
             assert 2 * greedy >= opt.welfare
 
 
-def test_query_log_counts_one_demand_per_bidder():
-    log = QueryLog()
-    bidders = [(4, additive((5, 1))), (9, additive((4, 4)))]
-    fixed_price_auction(bidders, {0, 1}, (Fraction(2), Fraction(2)), query_log=log)
-    assert log.demand == {4: 1, 9: 1}
+def test_fixed_price_names_every_arriving_bidder():
+    """The mechanism counts demand queries off ``bundles``: every bidder who
+    arrives is a key, in arrival order, also one who takes nothing (9 finds
+    nothing worth its price, 7 arrives after the last item is sold)."""
+    bidders = [
+        (4, additive((5, 1))),
+        (9, additive((1, 1))),
+        (2, additive((9, 9))),
+        (7, additive((9, 9))),
+    ]
+    alloc = fixed_price_auction(bidders, {0, 1}, (Fraction(2), Fraction(2)))
+    assert list(alloc.bundles.items()) == [
+        (4, {0}),
+        (9, frozenset()),
+        (2, {1}),
+        (7, frozenset()),
+    ]
+    assert list(alloc.payments.items()) == [(4, 2), (9, 0), (2, 2), (7, 0)]
 
 
 def test_allocation_accessors_default_to_empty():

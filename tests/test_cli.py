@@ -216,7 +216,7 @@ def test_trace_negative_min_seeds_is_usage_error(capsys, instance_file):
 def test_trace_rejects_what_run_rejects(tmp_path, capsys, data, message):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps(data))
-    for command in ("run", "trace"):
+    for command in ("run", "trace", "truthtest"):
         assert main([command, "--instance", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -21,6 +21,7 @@ from auctionlab.errors import (
     InstanceShapeError,
 )
 from auctionlab.harness import (
+    _cents_grid,
     _deviation,
     _log_uniform_cents,
     ExperimentConfig,
@@ -258,8 +259,9 @@ class TestGenerator:
     )
     def test_cents_draw_matches_reference(self, lo, hi):
         fast, slow = random.Random(77), random.Random(77)
-        grid, draw = _log_uniform_cents(lo, hi)
+        grid, (low, high) = _cents_grid(lo, hi)
         assert grid % 100 == 0
+        draw = _log_uniform_cents(low, high, grid)
         for _ in range(3000):
             assert Fraction(draw(fast), grid) == reference_log_uniform(slow, lo, hi)
         assert fast.getstate() == slow.getstate()
@@ -391,7 +393,9 @@ class TestTruthfulnessReport:
         """A planted mechanism that demand-queries one statistics-group
         bidder once, within the per-bidder budget of alpha, breaks the
         mechanism's rule that only learning groups are demand-queried; the
-        sweep reports that bidder on every learning run that sampled one."""
+        sweep reports that bidder on every learning run that sampled one.
+        Violations in deviating runs also name the deviator, the lie and the
+        instance."""
         real = harness.final_mechanism
         planted = []
 
@@ -413,8 +417,12 @@ class TestTruthfulnessReport:
         assert sorted(v["bidder"] for v in report.query_budget_violations) == sorted(
             planted
         )
+        honest = {"seed", "bidder", "demand_queries"}
+        deviating = honest | {"deviator", "lie", "instance"}
+        kinds = [set(v) for v in report.query_budget_violations]
+        assert honest in kinds and deviating in kinds
         for violation in report.query_budget_violations:
-            assert set(violation) == {"seed", "bidder", "demand_queries"}
+            assert set(violation) in (honest, deviating)
             assert violation["demand_queries"] == 1
 
     def test_sweep_whose_learning_runs_sell(self):
@@ -452,13 +460,56 @@ class TestTruthfulnessReport:
                     {"seed": seed, "bidder": stray, "demand_queries": 1}
                 ]
 
+    def test_budget_violation_in_a_deviation_carries_a_reproducer(
+        self, monkeypatch
+    ):
+        """An over-budget count planted on the first deviating learning run
+        is reported with the deviator, the lie as an instance-format bidder
+        entry, and the instance digest. The lie, reloaded and replayed at
+        the violation's seed, gives the run the count was planted on."""
+        real = harness.final_mechanism
+        runs = []
+        planted = []
+
+        def plant_once(bidders, m, tape):
+            outcome = real(bidders, m, tape)
+            runs.append(outcome)
+            # Each seed runs the honest report first, then 3 lies per bidder.
+            if planted or len(runs) % 10 == 1 or outcome.params is None:
+                return outcome
+            planted.append((len(runs) - 1, list(bidders), outcome))
+            over = {outcome.groups[-1][0]: outcome.params.alpha + 1}
+            return replace(outcome, demand_queries={**outcome.demand_queries, **over})
+
+        monkeypatch.setattr(harness, "final_mechanism", plant_once)
+        inst = generate_instance(GeneratorSpec(3, 2, seed=14))
+        m, bidders = inst.item_count, inst.bidders()
+        report = truthfulness_report(inst, seeds=4, deviations=3)
+        ((run, reported, outcome),) = planted
+        seed, deviation = divmod(run, 10)
+        (violation,) = report.query_budget_violations
+        assert violation == {
+            "seed": seed,
+            "bidder": outcome.groups[-1][0],
+            "demand_queries": outcome.params.alpha + 1,
+            "deviator": (deviation - 1) // 3,
+            "lie": violation["lie"],
+            "instance": harness.instance_digest(inst),
+        }
+        lie = instance_from_dict({"m": m, "bidders": [violation["lie"]]})
+        twisted = list(bidders)
+        twisted[violation["deviator"]] = (violation["deviator"], lie.valuations[0])
+        assert twisted == reported
+        assert real(twisted, m, CoinTape(seed)) == outcome
+
     def test_deviations_match_reference(self):
         for (lo, hi), m in itertools.product(DRAW_RANGES, range(1, 7)):
             fast, slow = random.Random(m), random.Random(m)
-            entry = _log_uniform_cents(lo / 2, hi * 2)
-            budget = _log_uniform_cents(lo / 2, hi * m)
+            grid, (low, high, top) = _cents_grid(lo / 2, hi * 2, hi * m)
+            entry = _log_uniform_cents(low, high, grid)
+            budget = _log_uniform_cents(low, top, grid)
             for _ in range(300):
-                lie = _deviation(fast, m, entry, budget)
+                lie = _deviation(fast, m, grid, entry, budget)
                 assert integer_form(lie) == integer_form(
                     reference_deviation(slow, m, lo, hi)
                 ), (lo, hi, m)
@@ -470,9 +521,9 @@ class TestTruthfulnessReport:
         digests = {}
         for m in range(1, 7):
             rng = random.Random(m)
-            entry = _log_uniform_cents(Fraction(1, 2), Fraction(200))
-            budget = _log_uniform_cents(Fraction(1, 2), Fraction(100 * m))
-            lies = [_deviation(rng, m, entry, budget) for _ in range(2000)]
+            entry = _log_uniform_cents(50, 20000, 100)
+            budget = _log_uniform_cents(50, 10000 * m, 100)
+            lies = [_deviation(rng, m, 100, entry, budget) for _ in range(2000)]
             text = json.dumps(
                 instance_to_dict(Instance(m, tuple(lies))),
                 sort_keys=True,

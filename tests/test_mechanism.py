@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import auctionlab
-from auctionlab import harness
+from auctionlab import auction, harness
 from auctionlab.auction import (
     Allocation,
     fixed_price_auction,
@@ -951,3 +951,84 @@ class TestUniversalTruthfulness:
                         twisted[target] = (target, lie)
                         deviant = final_mechanism(twisted, m, CoinTape(seed))
                         assert bidder_utility(deviant, target, truth) <= base
+
+
+class TestQueryCounts:
+    """The outcome's query counts are read off the run record. Here each
+    query is counted as it is asked instead: demand queries by a counting
+    wrapper over ``auction.demand_query``, value queries by the per-call
+    tallies of the reference second-price auction and greedy statistic. The
+    counts must agree bidder by bidder, in key order."""
+
+    @staticmethod
+    def asked(monkeypatch, run, bidders, *args):
+        """``run(bidders, *args)`` and the demand queries it asked, per
+        bidder, keyed in the order first asked."""
+        owner = {id(v): b for b, v in bidders}
+        assert len(owner) == len(bidders)
+        asked = {}
+        real = auction.demand_query
+
+        def counting(valuation, *rest, **kwargs):
+            b = owner[id(valuation)]
+            asked[b] = asked.get(b, 0) + 1
+            return real(valuation, *rest, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(auction, "demand_query", counting)
+            out = run(bidders, *args)
+        return out, asked
+
+    @pytest.mark.parametrize(
+        "n, m, family, seed",
+        [
+            # Thirty bidders make the first learning group non-empty.
+            (30, 4, "xos-random", 1),
+            (6, 3, "additive", 2),
+            (6, 3, "budget-additive", 2),
+        ],
+    )
+    def test_final_mechanism_counts_match_asked(
+        self, monkeypatch, n, m, family, seed
+    ):
+        spec = harness.GeneratorSpec(n, m, family, seed=seed)
+        valuations = harness.generate_instance(spec).valuations
+        # Ids in decreasing order, so that key order is not sorted order.
+        bidders = [(7 * (n - k), v) for k, v in enumerate(valuations)]
+        branches = set()
+        first_group_asked = False
+        for tape_seed in range(40):
+            out, asked = self.asked(
+                monkeypatch, final_mechanism, bidders, m, CoinTape(tape_seed)
+            )
+            slow = reference_final_mechanism(bidders, m, CoinTape(tape_seed))
+            assert list(out.demand_queries.items()) == list(asked.items()), tape_seed
+            assert list(out.value_queries.items()) == list(
+                slow.value_queries.items()
+            ), tape_seed
+            branches.add(out.branch)
+            first_group_asked |= bool(out.groups and set(out.groups[0]) & set(asked))
+        assert branches == {SECOND_PRICE, LEARNING_STOPPED}
+        assert first_group_asked == (n == 30)
+
+    def test_completed_learning_counts_match_asked(self, monkeypatch):
+        """Over [1, 10^6] beta is 2: thirty bidders put one bidder in each of
+        the two learning groups and 28 in the final group, so a completed run
+        asks demand queries in both iterations and in the final auction."""
+        instance = harness.generate_instance(
+            harness.GeneratorSpec(30, 4, "xos-random", seed=1)
+        )
+        bidders = instance.bidders()
+        completed = 0
+        for seed in range(40):
+            tape = CoinTape(seed)
+            out, asked = self.asked(
+                monkeypatch, price_learning_mechanism, bidders, 4, 1, 10**6, tape
+            )
+            assert out.params.beta == 2
+            assert out.value_queries == {}
+            assert list(out.demand_queries.items()) == list(asked.items()), seed
+            if out.branch == LEARNING_COMPLETED:
+                completed += 1
+                assert len(asked) == 30
+        assert completed
