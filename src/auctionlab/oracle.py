@@ -17,8 +17,11 @@ smallest optimal vector and the assignment is read off its digits, with no
 back-pointers. Weights grow with the bundle, so the first bidder's weights
 are the first table and the last bidder splits only the whole item set:
 n - 2 full steps. An XOS step is one pass per item and clause,
-O(clauses * m * 2^m); a budget-additive step tries every subset split,
-O(3^m). ``assignment_cap`` bounds n * 3^m, the all-split worst case.
+O(clauses * m * 2^m). A budget-additive step makes the same passes for its
+one row without the budget, on a scaled table that also records the budget
+the best split uses; only the subsets where that exceeds the budget try
+every split, so the step costs O(m * 2^m) when the budget never binds and
+3^m at worst. ``assignment_cap`` bounds n * 3^m, that worst case.
 """
 
 from __future__ import annotations
@@ -83,10 +86,14 @@ def brute_force_opt(
 ) -> OptimalSolution:
     """Globally optimal allocation of m items among the given bidders.
 
-    Raises ``CapabilityError`` before any work when n * 3^m, the DP's subset
-    splits if every bidder were budget-additive, exceeds the cap, then
-    ``InstanceShapeError`` if a valuation is not over m items. n = 0 yields
-    the empty allocation with welfare 0.
+    A middle XOS bidder costs one pass per item and clause over the 2^m
+    subsets; a middle budget-additive bidder costs one pass per item, plus
+    every split of each subset whose best unbudgeted split breaks the
+    budget. Raises ``CapabilityError`` before any work when n * 3^m, the
+    subset splits of the worst case (every bidder budget-additive and every
+    subset split), exceeds the cap, then ``InstanceShapeError`` if a
+    valuation is not over m items. n = 0 yields the empty allocation with
+    welfare 0.
     """
     n = len(valuations)
     if n * 3**m > assignment_cap:
@@ -125,12 +132,13 @@ def brute_force_opt(
 
     prev = weight(0)
     for i, valuation in enumerate(valuations[1:-1], 1):
+        factor = big * (scale // valuation.scale)
+        tie = [(n - i) * d for d in place]
         if valuation.cap is None:
-            factor = big * (scale // valuation.scale)
-            tie = [(n - i) * d for d in place]
             prev = _xos_step(prev, valuation.rows, factor, tie, m)
         else:
-            prev = _split_step(prev, weight(i))
+            (row,) = valuation.rows
+            prev = _budget_step(prev, row, valuation.cap, factor, tie, m, weight(i))
     top = prev[-1] if n == 1 else max(map(add, reversed(prev), weight(n - 1)))
 
     total, low = divmod(top, big)
@@ -166,46 +174,75 @@ def _xos_step(
     """Add an XOS bidder to the subset DP in O(clauses * m * 2^m).
 
     Under a clause the weight C(T), the sum over T of ``w_j = factor * c_j +
-    tie[j]``, is additive, and max over U inside S of prev(U) + C(S - U) is
-    one pass per item j over a copy g of prev, g[S + j] = max(g[S + j], g[S]
-    + w_j), by blocks when the bit is high and by strided slices when it is
-    low. The bidder's row is the elementwise max over its clauses.
+    tie[j]``, is additive, so max over U inside S of prev(U) + C(S - U) is
+    ``_add_items`` on a copy of prev. The bidder's row is the elementwise max
+    over its clauses.
     """
-    size = 1 << m
     best: list[int] = []
     for row in rows:
         g = prev[:]
-        for b, w in enumerate(factor * x + t for x, t in zip(row, tie)):
-            half = 1 << b
-            step = half << 1
-            if half <= size // step:
-                for o in range(half, step):
-                    g[o::step] = _lift(g[o::step], g[o - half::step], w)
-            else:
-                for k in range(half, size, step):
-                    g[k:k + half] = _lift(g[k:k + half], g[k - half:k], w)
+        _add_items(g, [factor * x + t for x, t in zip(row, tie)], m)
         best = [a if a > c else c for a, c in zip(best, g)] if best else g
     return best
+
+
+def _budget_step(
+    prev: list[int],
+    row: Sequence[int],
+    cap: int,
+    factor: int,
+    tie: list[int],
+    m: int,
+    weight: list[int],
+) -> list[int]:
+    """Add a budget-additive bidder, whose capped bundle weights are
+    ``weight``, to the subset DP.
+
+    Without the cap the weight would be additive, ``w_j = factor * row[j] +
+    tie[j]``, and never below the capped one (``row`` and ``factor`` are
+    nonnegative, so every row sum is below D). So ``_add_items`` runs on prev
+    scaled by D = sum(row) + 1, with weights ``w_j * D + row[j]``: g[S] // D
+    is the best uncapped split of S, and g[S] % D the largest budget used by
+    a best split. Where that fits the cap, the split is worth as much capped
+    and g[S] // D is exact. Only the other subsets try every split of S over
+    ``weight``, 3^m steps at worst.
+    """
+    d = sum(row) + 1
+    g = [p * d for p in prev]
+    _add_items(g, [(factor * x + t) * d + x for x, t in zip(row, tie)], m)
+    cur: list[int] = []
+    for s, x in enumerate(g):
+        best, used = divmod(x, d)
+        if used > cap:
+            best = prev[s]
+            t = s
+            while t:
+                total = prev[s ^ t] + weight[t]
+                if total > best:
+                    best = total
+                t = (t - 1) & s
+        cur.append(best)
+    return cur
+
+
+def _add_items(g: list[int], weights: Sequence[int], m: int) -> None:
+    """Replace g[S] by max over U inside S of g[U] + the sum of ``weights``
+    over S - U, in place: one pass per item j, g[S + j] = max(g[S + j], g[S]
+    + w_j), by blocks when the bit is high and by strided slices when it is
+    low."""
+    size = 1 << m
+    for b, w in enumerate(weights):
+        half = 1 << b
+        step = half << 1
+        if half <= size // step:
+            for o in range(half, step):
+                g[o::step] = _lift(g[o::step], g[o - half::step], w)
+        else:
+            for k in range(half, size, step):
+                g[k:k + half] = _lift(g[k:k + half], g[k - half:k], w)
 
 
 def _lift(hi: list[int], lo: list[int], w: int) -> list[int]:
     """max(hi[k], lo[k] + w) for every k. The max is inline: ``map(max, ...)``
     calls ``max`` once a pair and takes about four times as long."""
     return [a if a > (c := s + w) else c for a, s in zip(hi, lo)]
-
-
-def _split_step(prev: list[int], weight: list[int]) -> list[int]:
-    """Add a bidder with bundle weights ``weight`` by trying every split of
-    every S into the bidder's part T and the rest: 3^m steps."""
-    cur = prev[:]
-    for s in range(1, len(prev)):
-        best = prev[s]
-        t = s
-        while t:
-            total = prev[s ^ t] + weight[t]
-            if total > best:
-                best = total
-            t = (t - 1) & s
-        cur[s] = best
-    return cur
-

@@ -1,4 +1,4 @@
-"""Byte-identity of the CLI outputs on three fixed generated instances.
+"""Byte-identity of the CLI outputs on four fixed generated instances.
 
 The files under ``tests/golden/`` hold the instance files and what ``run``,
 ``trace`` and ``truthtest`` print and write for them. Any change to
@@ -28,6 +28,9 @@ GOLDEN = Path(__file__).with_name("golden")
 SPECS = {
     "xos-6x8": GeneratorSpec(6, 8, "xos-random", seed=11),
     "budget-5x7": GeneratorSpec(5, 7, "budget-additive", seed=12),
+    # The shape of the benchmark's budget-additive ratio instances: six
+    # middle bidders at m = 10 put the oracle's budget step in the bytes.
+    "budget-8x10": GeneratorSpec(8, 10, "budget-additive", seed=13),
     # A wide value range gives beta = 2, so iteration-2 records, the range
     # tree and the price update reach the bytes.
     "additive-wide-6x8": GeneratorSpec(

@@ -17,7 +17,7 @@ from auctionlab.harness import GeneratorSpec, generate_instance
 from auctionlab.instances import valuation_to_dict
 from auctionlab.oracle import (
     OptimalSolution,
-    _split_step,
+    _budget_step,
     _xos_step,
     brute_force_opt,
     welfare,
@@ -130,6 +130,23 @@ def reference_subset_split_opt(valuations, m):
         tuple(prices),
         tuple(assignment),
     )
+
+
+def split_step(prev, weight):
+    """The oracle's earlier DP step: add a bidder with bundle weights
+    ``weight`` by trying every split of every S into the bidder's part T and
+    the rest, 3^m steps."""
+    cur = prev[:]
+    for s in range(1, len(prev)):
+        best = prev[s]
+        t = s
+        while t:
+            total = prev[s ^ t] + weight[t]
+            if total > best:
+                best = total
+            t = (t - 1) & s
+        cur[s] = best
+    return cur
 
 
 def random_valuation(rng, m, hi=9):
@@ -298,6 +315,23 @@ class TestMatchesSubsetSplitReference:
             m = rng.randint(1, 6)
             self.check([random_valuation(rng, m, hi=2) for _ in range(n)], m)
 
+    def test_tight_budgets_mixed_bidders(self):
+        # A budget equal to the largest item value binds on every bundle of
+        # two valued items, so the budget step's every-split repair runs;
+        # XOS bidders come in between in random order.
+        rng = random.Random(6262)
+        for _ in range(200):
+            n = rng.randint(2, 5)
+            m = rng.randint(1, 6)
+            vals = []
+            for _ in range(n):
+                values = [rng.randint(0, 4) for _ in range(m)]
+                if rng.random() < 0.5:
+                    vals.append(budget_additive(values, max(values)))
+                else:
+                    vals.append(xos(values, [rng.randint(0, 4) for _ in range(m)]))
+            self.check(vals, m)
+
     @pytest.mark.parametrize("family", ["xos-random", "additive", "budget-additive"])
     def test_generated_instances(self, family):
         rng = random.Random(family)
@@ -339,10 +373,15 @@ class TestMatchesSubsetSplitReference:
         assert (sol.welfare, sol.assignment) == naive_opt(vals, 3)
 
     def test_twelve_items(self):
-        rng = random.Random(12)
-        vals = [random_valuation(rng, 12) for _ in range(2)]
+        # Four bidders, so both middle steps run at m = 12: a budget-additive
+        # bidder, then an XOS bidder. On this seed the optimum depends on the
+        # budget step's every-split repair: without it the assignment differs.
+        rng = random.Random(13)
+        vals = [random_valuation(rng, 12) for _ in range(4)]
         vals[0] = xos(*[[rng.randint(0, 9) for _ in range(12)] for _ in range(3)])
-        self.check(vals, 12, assignment_cap=2 * 3**12)
+        vals[1] = budget_additive([rng.randint(0, 9) for _ in range(12)], 20)
+        vals[2] = xos(*[[rng.randint(0, 9) for _ in range(12)] for _ in range(2)])
+        self.check(vals, 12, assignment_cap=4 * 3**12)
 
 
 class TestWelfare:
@@ -386,4 +425,47 @@ def test_xos_step_matches_split_step():
             factor * max(total(row, mask) for row in rows) + total(tie, mask)
             for mask in range(size)
         ]
-        assert _xos_step(prev, rows, factor, tie, m) == _split_step(prev, weight)
+        assert _xos_step(prev, rows, factor, tie, m) == split_step(prev, weight)
+
+
+def test_budget_step_matches_split_step():
+    """One budget-additive step, scaled passes with every-split repair, against
+    trying every split with the bidder's weights factor * min(cap, a(S)) +
+    tie(S), on arbitrary tables and caps from zero to past the row sum."""
+
+    def total(row, mask):
+        return sum(x for j, x in enumerate(row) if mask >> j & 1)
+
+    rng = random.Random(2121)
+    repaired = 0
+    for trial in range(500):
+        m = rng.randint(1, 7)
+        size = 1 << m
+        if trial % 3 == 0:
+            prev = [rng.randint(-50, 50) for _ in range(size)]
+        elif trial % 3 == 1:
+            prev = [rng.randint(0, 1) for _ in range(size)]
+        else:
+            prev = [rng.randint(0, 10**12) for _ in range(size)]
+        row = [rng.choice([0, 1, 2, 5]) for _ in range(m)]
+        positive = [x for x in row if x] or [1]
+        caps = [
+            0,
+            min(positive) - 1,
+            (min(positive) + sum(row)) // 2,
+            sum(row),
+            sum(row) + 1 + rng.randint(0, 3),
+        ]
+        cap = caps[trial % 5]
+        factor = rng.randint(0, 4)
+        tie = [rng.randint(0, 3) for _ in range(m)]
+        weight = [
+            factor * min(cap, total(row, mask)) + total(tie, mask)
+            for mask in range(size)
+        ]
+        got = _budget_step(prev, row, cap, factor, tie, m, weight)
+        assert got == split_step(prev, weight)
+        uncapped = [factor * total(row, mask) + total(tie, mask) for mask in range(size)]
+        repaired += got != split_step(prev, uncapped)
+    # The cap changes the table often enough that the repair is exercised.
+    assert repaired > 100
