@@ -2,9 +2,13 @@
 
 Randomness discipline: every coin the mechanism ever flips comes from a
 ``CoinTape`` -- named, seed-deterministic streams whose draws are consumed in
-a fixed order that does not depend on any bidder's report. Fixing the tape
-therefore fixes a *deterministic* mechanism, and truthfulness can be tested
-by replaying the same tape against deviating reports.
+an order fixed by the mechanism's structure. Reports change the calls only
+through beta: the range ratio is always 8m^2, so beta moves only when the
+statistics group's greedy welfare flips between zero and non-zero, and then
+only at m >= 15 (``test_reports_change_coin_calls_only_through_beta``).
+Fixing the tape therefore fixes a *deterministic* mechanism, and
+truthfulness can be tested by replaying the same tape against deviating
+reports.
 
 The learning mechanism proper:
 
@@ -75,18 +79,18 @@ class CoinTape:
 
     Each stream is an independent PRNG seeded by hashing (seed, stream name),
     so the draws of one stream do not shift when another stream draws more or
-    less. Draw order within each stream is fixed by the mechanism structure,
-    never by bidder reports.
+    less. Draw order within each stream is fixed by the mechanism structure;
+    reports change the calls only through beta (see the module docstring).
 
-    A tape records every draw, per stream, keyed by that stream's call
-    history: the ``(kind, arg)`` of each call so far, such as ``("perm", 7)``
-    or ``("random",)``. ``replay()`` gives a fresh cursor over the same
-    record, so the runs of one seed against different reports seed no
-    stream again while their calls follow the record. A call the record has
-    not seen at that point (a lie that changes beta changes the partition's
-    calls) re-seeds the stream, replays its history and draws on, which
-    gives exactly the draws of a fresh tape, and adds them to the record.
-    The record lives as long as the tape and its replays.
+    A tape records every draw in one flat dict keyed by the stream and the
+    ``(kind, arg)`` of each call made on it so far, this one included, such
+    as ``("perm", 7)`` or ``("random",)``. ``replay()`` gives a tape of the
+    same seed that shares the record, so the runs of one seed against
+    different reports seed no stream while their calls are in the record.
+    A call the record lacks seeds the stream afresh, makes the stream's
+    calls again and records the last draw: exactly the draw of a fresh
+    tape. A fresh tape therefore seeds a stream once per call on it. The
+    record lives as long as the tape and its replays.
     """
 
     STREAMS = (
@@ -100,45 +104,33 @@ class CoinTape:
 
     def __init__(self, seed: int, _record: Optional[dict] = None):
         self.seed = seed
-        # stream -> trie of calls: {call: (result, {next call: ...})}
-        self._record: dict[str, dict] = {} if _record is None else _record
-        # stream -> (this cursor's trie node, its call history, and a PRNG
-        # that has made exactly those calls, or None)
-        self._at: dict[str, tuple[dict, tuple, Optional[random.Random]]] = {}
+        # (stream, its calls so far, this one included) -> that call's draw
+        self._record: dict[tuple, object] = {} if _record is None else _record
+        # stream -> the calls this tape has made on it
+        self._calls: dict[str, tuple] = {}
 
     def replay(self) -> "CoinTape":
         """A tape of the same seed that starts from the first draw and reads
         this tape's record instead of re-drawing it."""
         return CoinTape(self.seed, self._record)
 
-    def _stream(self, name: str, history: tuple = ()) -> random.Random:
-        """A freshly seeded PRNG for stream ``name`` that has made the calls
-        of ``history``."""
+    def _stream(self, name: str) -> random.Random:
+        """A freshly seeded PRNG for stream ``name``."""
         if name not in self.STREAMS:
             raise DomainError(f"unknown coin stream {name!r}")
         digest = sha256(f"{self.seed}:{name}".encode()).digest()
-        rng = random.Random(int.from_bytes(digest[:8], "big"))
-        for call in history:
-            _draw(rng, call)
-        return rng
+        return random.Random(int.from_bytes(digest[:8], "big"))
 
     def _next(self, name: str, call: tuple):
-        at = self._at.get(name)
-        if at is None:
-            node = self._record.get(name)
-            if node is None:
-                node = self._record[name] = {}
-            at = (node, (), None)
-        node, history, rng = at
-        hit = node.get(call)
-        if hit is None:
-            if rng is None:
-                rng = self._stream(name, history)
-            hit = node[call] = (_draw(rng, call), {})
-        else:
-            rng = None  # the record answered; a PRNG would fall behind it
-        self._at[name] = (hit[1], history + (call,), rng)
-        return hit[0]
+        calls = self._calls[name] = self._calls.get(name, ()) + (call,)
+        key = (name, calls)
+        draw = self._record.get(key)
+        if draw is None:  # no draw is None
+            rng = self._stream(name)
+            for made in calls:
+                draw = _draw(rng, made)
+            self._record[key] = draw
+        return draw
 
     def second_price_branch(self) -> bool:
         return self._next("top-level-branch", ("random",)) < 0.5

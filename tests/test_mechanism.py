@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 
@@ -196,6 +197,36 @@ def play(tape, calls):
     return [getattr(tape, method)(*args) for method, args in calls]
 
 
+def call_key(method, args):
+    """The stream a tape call draws from, and the part of its arguments that
+    its draw depends on: a stop coin's beta only sets the threshold."""
+    if method == "sample_statistics_group":
+        return "stat-sampling", args[0]
+    if method == "partition_permutation":
+        return "partition-permutations", len(args[0])
+    if method == "pick_auction":
+        return "j-star", args[0]
+    names = {
+        "second_price_branch": "top-level-branch",
+        "tree_parity": "tree-parity",
+        "stop_coin": "stop-coin",
+    }
+    return names[method], None
+
+
+def count_seeds(monkeypatch):
+    """The names of the streams ``CoinTape`` seeds from now on, in order."""
+    seeded = []
+    real = CoinTape._stream
+
+    def counted(self, name):
+        seeded.append(name)
+        return real(self, name)
+
+    monkeypatch.setattr(CoinTape, "_stream", counted)
+    return seeded
+
+
 class TestTapeReplay:
     def test_replays_match_fresh_reference_tapes(self):
         """Every replay draws what a fresh tape would, whether its calls
@@ -245,51 +276,99 @@ class TestTapeReplay:
             assert first[1] == second[1] == reference
 
     def test_seeds_each_stream_at_most_once(self, monkeypatch):
-        """A tape seeds each stream once, on its first draw from it; a
-        replay whose calls follow the record seeds none."""
-        seeded = []
-        real = CoinTape._stream
+        """At beta = 1 (3 items) a tape seeds each stream once, on its first
+        draw from it; at beta = 2 (15 items) it seeds a stream once per call
+        on it, so at most beta times. Either way a replay whose calls follow
+        the record seeds none."""
+        seeded = count_seeds(monkeypatch)
+        for m in (3, 15):
+            bidders = random_bidders(random.Random(13), 24, m)
+            betas = set()
+            for seed in range(20):
+                seeded.clear()
+                tape = CoinTape(seed)
+                honest = final_mechanism(bidders, m, tape)
+                beta = honest.params.beta if honest.params else 1
+                betas.add(beta)
+                assert max(Counter(seeded).values()) <= beta
+                if m == 3:
+                    assert len(seeded) == len(set(seeded))
+                seeded.clear()
+                again = final_mechanism(bidders, m, tape.replay())
+                assert seeded == []
+                assert again == honest
+            assert betas == ({1} if m == 3 else {1, 2})
 
-        def counted(self, name, history=()):
-            seeded.append(name)
-            return real(self, name, history)
+    def test_seeds_once_per_call_the_record_lacks(self, monkeypatch):
+        """A tape seeds a stream once for each call its record lacks: a
+        fresh tape once per call, a replay once per call that no tape of
+        its record has made at that point of the stream."""
+        seeded = count_seeds(monkeypatch)
 
-        monkeypatch.setattr(CoinTape, "_stream", counted)
-        bidders = random_bidders(random.Random(13), 24, 3)
-        for seed in range(20):
-            seeded.clear()
+        def lacking(calls, made):
+            """The streams of the calls ``made`` lacks, in order; adds them."""
+            out, so_far = [], {}
+            for method, args in calls:
+                name, key = call_key(method, args)
+                so_far[name] = so_far.get(name, ()) + (key,)
+                if (name, so_far[name]) not in made:
+                    made.add((name, so_far[name]))
+                    out.append(name)
+            return out
+
+        rng = random.Random(16)
+        missed = 0
+        for seed in range(40):
+            base = [random_call(rng) for _ in range(rng.randint(0, 12))]
             tape = CoinTape(seed)
-            honest = final_mechanism(bidders, 3, tape)
-            assert len(seeded) == len(set(seeded))
             seeded.clear()
-            again = final_mechanism(bidders, 3, tape.replay())
-            assert seeded == []
-            assert again == honest
+            play(tape, base)
+            assert seeded == [call_key(*call)[0] for call in base]
+            made = set()
+            lacking(base, made)
+            for _ in range(5):
+                calls = base[: rng.randint(0, len(base))]
+                calls += [random_call(rng) for _ in range(rng.randint(0, 4))]
+                expected = lacking(calls, made)
+                seeded.clear()
+                play(tape.replay(), calls)
+                assert seeded == expected
+                missed += len(expected)
+        assert missed > 50
 
 
 def sweep_outcomes(monkeypatch, instance, tape_class, seeds, deviations):
     """The report of a truthfulness sweep run on ``tape_class`` tapes, the
-    outcome of every run it made, and how many times a stream was seeded
-    past the start of its history."""
+    outcome of every run it made, and how many times a tape that came from
+    ``replay()`` seeded a stream."""
     outcomes = []
-    reseeded = []
+    replays = []
+    reseeded = 0
     real_mechanism, real_stream = harness.final_mechanism, CoinTape._stream
+    real_replay = CoinTape.replay
 
     def recorded(*args, **kwargs):
         outcome = real_mechanism(*args, **kwargs)
         outcomes.append(outcome)
         return outcome
 
-    def counted(self, name, history=()):
-        reseeded.extend(history[:1])
-        return real_stream(self, name, history)
+    def replayed(self):
+        tape = real_replay(self)
+        replays.append(tape)
+        return tape
+
+    def counted(self, name):
+        nonlocal reseeded
+        reseeded += any(self is tape for tape in replays)
+        return real_stream(self, name)
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "CoinTape", tape_class)
         patch.setattr(harness, "final_mechanism", recorded)
+        patch.setattr(CoinTape, "replay", replayed)
         patch.setattr(CoinTape, "_stream", counted)
         report = harness.truthfulness_report(instance, seeds, deviations)
-    return report, outcomes, len(reseeded)
+    return report, outcomes, reseeded
 
 
 class TestSweepReplay:
@@ -338,6 +417,91 @@ class TestSweepReplay:
         ]
         assert sum(len(b) > 1 for b in betas) >= mixed_seeds
         assert (reseeded > 0) == worthless
+
+    def test_beta_one_sweep_seeds_each_honest_stream_once(self, monkeypatch):
+        """At beta = 1 a sweep seeds each stream of each honest run exactly
+        once, and its replays seed nothing: the record holds every draw the
+        deviations make."""
+        n, m, seeds, deviations = 4, 4, 12, 3
+        instance = harness.generate_instance(harness.GeneratorSpec(n, m, seed=44))
+        seeded, runs = [], []
+        real_mechanism, real_stream = harness.final_mechanism, CoinTape._stream
+
+        def recorded(bidders, m, tape):
+            outcome = real_mechanism(bidders, m, tape)
+            runs.append((tape, outcome))
+            return outcome
+
+        def counted(self, name):
+            seeded.append((self, name))
+            return real_stream(self, name)
+
+        monkeypatch.setattr(harness, "final_mechanism", recorded)
+        monkeypatch.setattr(CoinTape, "_stream", counted)
+        harness.truthfulness_report(instance, seeds, deviations)
+        honest = runs[:: 1 + n * deviations]
+        assert len(honest) == seeds
+        assert {o.params.beta for _, o in runs if o.params} == {1}
+        assert {o.branch == SECOND_PRICE for _, o in honest} == {True, False}
+        expected = []
+        for tape, outcome in honest:
+            streams = CoinTape.STREAMS
+            if outcome.branch == SECOND_PRICE:
+                streams = ("top-level-branch",)
+            expected += [(tape, name) for name in streams]
+        # Every run's tape is kept alive in ``runs``, so ids name tapes.
+        assert Counter((id(t), name) for t, name in seeded) == Counter(
+            (id(t), name) for t, name in expected
+        )
+
+
+class TestCoinCalls:
+    @pytest.mark.parametrize("family", harness.FAMILIES)
+    @pytest.mark.parametrize("m", [3, 15, 16])
+    def test_reports_change_coin_calls_only_through_beta(self, family, m):
+        """A lie leaves every stream's call history as the honest run left
+        it, unless the liar is in the statistics group and the lie flips
+        the greedy statistic between zero and non-zero, which moves beta at
+        m >= 15. So a learning bidder's report never changes a coin call.
+        Bidder 0 worthless makes such flips reachable."""
+        rng = random.Random(m)
+        counts = Counter()
+        for worthless in (False, True):
+            instance = harness.generate_instance(
+                harness.GeneratorSpec(3, m, family, seed=m)
+            )
+            bidders = instance.bidders()
+            if worthless:
+                bidders[0] = (0, xos([0] * m))
+            for seed in range(8):
+                tape = CoinTape(seed)
+                honest = final_mechanism(bidders, m, tape)
+                if honest.branch == SECOND_PRICE:
+                    continue
+                for b in range(len(bidders)):
+                    for _ in range(2):
+                        lie = random_bidders(rng, 1, m)[0][1]
+                        if rng.random() < 0.25:
+                            lie = xos([0] * m)
+                        twisted = list(bidders)
+                        twisted[b] = (b, lie)
+                        replay = tape.replay()
+                        outcome = final_mechanism(twisted, m, replay)
+                        same = replay._calls == tape._calls
+                        if b not in honest.statistics_group:
+                            counts["learning"] += 1
+                            assert same
+                            continue
+                        counts["statistics"] += 1
+                        flips = (honest.statistics_welfare == 0) != (
+                            outcome.statistics_welfare == 0
+                        )
+                        counts["flips"] += flips
+                        assert same or flips
+                        counts["changed"] += not same
+        assert counts["learning"] > 20 and counts["statistics"] > 10
+        assert counts["flips"] > 0
+        assert (counts["changed"] > 0) == (m >= 15)
 
 
 class TestPartition:
