@@ -40,7 +40,6 @@ from .mechanism import (
 )
 from .oracle import OptimalSolution, brute_force_opt, welfare
 from .price_tree import (
-    Bins,
     Params,
     PriceTree,
     build_bins,

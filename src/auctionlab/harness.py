@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .errors import ConfigError, InvariantViolationError
 from .instances import Instance, instance_to_dict, valuation_to_dict
@@ -245,11 +245,19 @@ CSV_HEADER = "trial_seed,branch,welfare,payments_total,demand_queries,value_quer
 QUANTILES = (("q00", 0.0), ("q25", 0.25), ("q50", 0.5), ("q75", 0.75), ("q90", 0.9), ("q100", 1.0))
 
 
-def _quantile(sorted_values: Sequence, level: float):
-    if not sorted_values:
-        return None
-    rank = max(1, math.ceil(level * len(sorted_values)))
-    return sorted_values[rank - 1]
+def _ratio_quantiles(opt: Fraction, welfares: Iterable[Fraction]) -> dict[str, str]:
+    """The ``QUANTILES`` of the per-trial ratios opt / w: "inf" where w = 0,
+    and "1" throughout when opt = 0. opt / w falls as w rises, so the ratios
+    in rising order are the welfares in falling order, and only the ranks
+    read are divided."""
+    if opt == 0:
+        return {name: "1" for name, _ in QUANTILES}
+    falling = sorted(welfares, reverse=True)
+    out = {}
+    for name, level in QUANTILES:
+        w = falling[max(1, math.ceil(level * len(falling))) - 1]
+        out[name] = format_rational(opt / w) if w > 0 else "inf"
+    return out
 
 
 def run_trial(instance: Instance, seed: int) -> TrialResult:
@@ -301,16 +309,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             ratio = Fraction(1)
         elif mean_welfare > 0:
             ratio = opt / mean_welfare
-        per_trial = sorted(
-            (opt / t.welfare if t.welfare > 0 else None for t in trials),
-            key=lambda r: (r is None, r),
-        )
-        for name, level in QUANTILES:
-            value = _quantile(per_trial, level)
-            if opt == 0:
-                quantiles[name] = "1"
-            else:
-                quantiles[name] = "inf" if value is None else format_rational(value)
+        quantiles = _ratio_quantiles(opt, (t.welfare for t in trials))
     return ExperimentReport(tuple(trials), mean_welfare, opt, ratio, quantiles)
 
 

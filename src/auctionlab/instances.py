@@ -69,13 +69,11 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
-def _list_field(value: object, i: int, name: str) -> list:
+def _list_field(value: object, name: str) -> list:
     """``value`` if it is a JSON list; anything else (a string above all,
     which would be read character by character) is an instance error."""
     if not isinstance(value, list):
-        raise InstanceShapeError(
-            f"bidder {i}: {name} must be a list, got {type(value).__name__}"
-        )
+        raise InstanceShapeError(f"{name} must be a list, got {type(value).__name__}")
     return value
 
 
@@ -100,20 +98,21 @@ def instance_from_dict(data: dict) -> Instance:
         kind = entry.get("kind")
         try:
             if kind == "xos":
-                clauses = _list_field(entry["clauses"], i, '"clauses"')
-                rows = [_list_field(c, i, f"clause {k}") for k, c in enumerate(clauses)]
+                clauses = _list_field(entry["clauses"], '"clauses"')
+                rows = [_list_field(c, f"clause {k}") for k, c in enumerate(clauses)]
                 valuations.append(xos(*rows))
             elif kind == "budget_additive":
-                values = _list_field(entry["values"], i, '"values"')
+                values = _list_field(entry["values"], '"values"')
                 valuations.append(budget_additive(values, entry["budget"]))
             else:
                 raise InstanceShapeError(
-                    f'bidder {i}: unknown kind {kind!r} '
-                    '(expected "xos" or "budget_additive")'
+                    f'unknown kind {kind!r} (expected "xos" or "budget_additive")'
                 )
         except KeyError as exc:
             raise InstanceShapeError(f"bidder {i} is missing field {exc}") from None
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (InstanceShapeError, TypeError, ValueError, ZeroDivisionError) as exc:
+            # One prefix for every error of the entry, the valuation's own
+            # shape errors (a negative entry, say) included.
             raise InstanceShapeError(f"bidder {i}: {exc}") from None
     return Instance(m, tuple(valuations))
 

@@ -50,7 +50,6 @@ from .price_tree import (
     ODD,
     Params,
     PriceTree,
-    build_bins,
     build_modified_tree,
     canonical_vectors,
     check_range,
@@ -274,7 +273,7 @@ def _halve(vector: PriceVector) -> PriceVector:
 def _range_tree(params: Params, parity: str) -> PriceTree:
     """The modified price tree of a range. Only iterations >= 2 and readers
     of ``MechanismOutcome.tree`` need it."""
-    return build_modified_tree(build_bins(params), parity)
+    return build_modified_tree(params, parity)
 
 
 @lru_cache(maxsize=32)
@@ -284,8 +283,7 @@ def _unit_tree(num: int, den: int, parity: str) -> PriceTree:
     and every price of the tree of [psi_min, psi_max] is psi_min times the
     matching price here: bins are psi_min * gamma^k and dummies
     psi_max * gamma^k. One tree serves every range of a shape."""
-    params = solve_parameters(1, Fraction(num, den))
-    return build_modified_tree(build_bins(params), parity)
+    return build_modified_tree(solve_parameters(1, Fraction(num, den)), parity)
 
 
 # A price range [psi_min, psi_max] as integers: (numerator, denominator) of

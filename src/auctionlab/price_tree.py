@@ -12,8 +12,10 @@ the leaves.
 
 *Modified* trees retain only the odd- or even-indexed bins, so prices sitting
 in different nodes of the same level are at least a factor gamma apart; the
-mechanism flips a coin between the two parities. Retained bins are spread over
-the alpha^beta leaf slots by repeated ceil-splits into contiguous blocks; leaf
+mechanism flips a coin between the two parities. ``build_modified_tree(params,
+parity)`` builds one in a single call from its params: it splits the range
+into bins, keeps one parity, and spreads the retained bins over the
+alpha^beta leaf slots by repeated ceil-splits into contiguous blocks; leaf
 slots left over are filled with *dummy* bins priced above psi_max so that no
 real price ever belongs to them.
 """
@@ -136,21 +138,8 @@ class BinCell:
     closed: bool
 
 
-@dataclass(frozen=True)
-class Bins:
-    """The t real bins partitioning [psi_min, psi_max]."""
-
-    params: Params
-    cells: tuple[BinCell, ...]
-
-    def retained(self, parity: str) -> tuple[BinCell, ...]:
-        if parity not in (ODD, EVEN):
-            raise DomainError(f"parity must be {ODD!r} or {EVEN!r}, got {parity!r}")
-        wanted = 1 if parity == ODD else 0
-        return tuple(c for c in self.cells if c.index % 2 == wanted)
-
-
-def build_bins(params: Params) -> Bins:
+def build_bins(params: Params) -> tuple[BinCell, ...]:
+    """The t real bins partitioning [psi_min, psi_max], bin k at position k-1."""
     t = params.bin_count
     cells = []
     lower = params.psi_min
@@ -161,7 +150,7 @@ def build_bins(params: Params) -> Bins:
             upper = lower * params.gamma
             cells.append(BinCell(i, lower, upper, False))
             lower = upper
-    return Bins(params, tuple(cells))
+    return tuple(cells)
 
 
 @dataclass(frozen=True)
@@ -254,15 +243,17 @@ def _spread(
     return out
 
 
-def build_modified_tree(bins: Bins, parity: str) -> PriceTree:
-    """The tree over only the odd- or even-indexed bins.
+def build_modified_tree(params: Params, parity: str) -> PriceTree:
+    """The tree over only the odd- or even-indexed bins of ``params``.
 
     With t = 1 the even tree retains nothing and is built purely from dummy
     bins: its prices match no real price, so a mechanism run that drew it
     learns nothing, which the parity coin already accounts for.
     """
-    params = bins.params
-    retained = bins.retained(parity)
+    if parity not in (ODD, EVEN):
+        raise DomainError(f"parity must be {ODD!r} or {EVEN!r}, got {parity!r}")
+    # Bin k sits at position k - 1, so odd bins start at 0 and even ones at 1.
+    retained = build_bins(params)[parity == EVEN :: 2]
     if len(retained) > params.leaf_capacity:
         raise InvariantViolationError(
             f"{len(retained)} retained bins exceed the {params.leaf_capacity} "

@@ -51,8 +51,7 @@ from .mechanism import MechanismOutcome, price_update
 from .oracle import OptimalSolution
 from .price_tree import PriceTree
 from .rationals import ZERO, common_scale, scaled_ints
-
-ItemSet = frozenset[int]
+from .valuations import ItemSet
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from auctionlab.mechanism import (
 from auctionlab.oracle import welfare
 from auctionlab.price_tree import (
     Params,
-    build_bins,
     build_modified_tree,
     check_range,
     solve_parameters,
@@ -105,7 +104,7 @@ def reference_first_prices(psi_min: Fraction, psi_max: Fraction, parity: str, m:
     of its ends."""
     check_range(psi_min, psi_max)
     ratio = psi_max / psi_min
-    unit = build_modified_tree(build_bins(solve_parameters(1, ratio)), parity)
+    unit = build_modified_tree(solve_parameters(1, ratio), parity)
     alpha, beta, gamma = unit.params.alpha, unit.params.beta, unit.params.gamma
     params = Params(alpha, beta, gamma, psi_min, psi_max)
     children = [psi_min * price for price in unit.prices(2)]

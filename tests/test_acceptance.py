@@ -188,15 +188,15 @@ def test_criterion_5_price_tree_invariants():
             assert params.alpha**params.beta >= params.bin_count
 
             bins = build_bins(params)
-            assert bins.cells[0].price == params.psi_min
-            assert bins.cells[-1].upper == params.psi_max
-            for a, b in zip(bins.cells, bins.cells[1:]):
+            assert bins[0].price == params.psi_min
+            assert bins[-1].upper == params.psi_max
+            for a, b in zip(bins, bins[1:]):
                 assert a.upper == b.price
-            for cell in bins.cells:
+            for cell in bins:
                 assert cell.upper <= cell.price * params.gamma
 
             for parity in (ODD, EVEN):
-                tree = build_modified_tree(bins, parity)
+                tree = build_modified_tree(params, parity)
                 for level in range(1, tree.depth + 1):
                     prices = sorted(tree.prices(level))
                     for a, b in zip(prices, prices[1:]):

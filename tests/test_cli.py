@@ -6,7 +6,7 @@ import pytest
 
 from auctionlab import cli
 from auctionlab.cli import main
-from auctionlab.errors import InvariantViolationError
+from auctionlab.errors import InstanceShapeError, InvariantViolationError
 from auctionlab.instances import Instance, dump_instance, load_instance
 from auctionlab.valuations import additive, xos
 
@@ -155,6 +155,48 @@ def test_malformed_instance_is_usage_error(tmp_path, capsys, bidder, message):
     assert main(["run", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert "bidder 0" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "bidder, message",
+    [
+        ({"kind": "xos", "clauses": [["1", "-2"]]}, "negative clause entry -2"),
+        (
+            {"kind": "budget_additive", "values": ["1", "2"], "budget": "-1"},
+            "negative budget -1",
+        ),
+        ({"kind": "xos", "clauses": []}, "an XOS valuation needs at least one clause"),
+        (
+            {"kind": "xos", "clauses": [["1", "2"], ["1"]]},
+            "clauses disagree on item count",
+        ),
+        ({"kind": "xos", "clauses": "1"}, '"clauses" must be a list, got str'),
+        (
+            {"kind": "mixed"},
+            "unknown kind 'mixed' (expected \"xos\" or \"budget_additive\")",
+        ),
+    ],
+    ids=[
+        "negative-entry",
+        "negative-budget",
+        "no-clauses",
+        "ragged-clauses",
+        "string-clauses",
+        "unknown-kind",
+    ],
+)
+def test_bidder_errors_name_the_bidder_once(tmp_path, capsys, bidder, message):
+    """Errors in a bidder's entry carry its index exactly once, through
+    ``load_instance`` and through the CLI: the ``Valuation`` constructor's
+    own errors (the first four) as well as the parser's."""
+    path = tmp_path / "bad.json"
+    good = {"kind": "xos", "clauses": [["1", "2"]]}
+    path.write_text(json.dumps({"m": 2, "bidders": [good, bidder]}))
+    with pytest.raises(InstanceShapeError) as exc:
+        load_instance(str(path))
+    assert str(exc.value) == f"bidder 1: {message}"
+    assert main(["run", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: bidder 1: {message}\n"
 
 
 def test_bool_item_count_is_usage_error(tmp_path, capsys):

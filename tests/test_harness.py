@@ -11,6 +11,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionlab import harness
 from auctionlab.auction import Allocation
@@ -21,6 +23,8 @@ from auctionlab.errors import (
     InstanceShapeError,
 )
 from auctionlab.harness import (
+    QUANTILES,
+    _ratio_quantiles,
     _cents_grid,
     _deviation,
     _log_uniform_cents,
@@ -311,6 +315,37 @@ class TestExperiments:
         assert report.opt == 0
         assert report.ratio_of_means == 1
         assert set(report.ratio_quantiles.values()) == {"1"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        welfares=st.lists(
+            st.fractions(min_value=0, max_value=50, max_denominator=6)
+            | st.sampled_from([Fraction(0), Fraction(3), Fraction(7, 2)]),
+            min_size=1,
+            max_size=40,
+        ),
+        headroom=st.fractions(min_value=0, max_value=10, max_denominator=4),
+        zero_opt=st.booleans(),
+    )
+    def test_ratio_quantiles_match_per_trial_ratios(self, welfares, headroom, zero_opt):
+        """The quantiles read off the welfares in falling order equal those
+        of the per-trial ratios opt / w, sorted with w = 0 ("inf") last, at
+        every rank: with ties, zero welfares and opt = 0 (every welfare 0)."""
+        if zero_opt:
+            welfares = [Fraction(0)] * len(welfares)
+        opt = max(welfares) + (0 if zero_opt else headroom)
+        ratios = sorted(
+            (opt / w if w > 0 else None for w in welfares),
+            key=lambda r: (r is None, r),
+        )
+        expected = {}
+        for name, level in QUANTILES:
+            r = ratios[max(1, math.ceil(level * len(ratios))) - 1]
+            if opt == 0:
+                expected[name] = "1"
+            else:
+                expected[name] = "inf" if r is None else format_rational(r)
+        assert _ratio_quantiles(opt, welfares) == expected
 
     def test_oracle_cap_with_ratio_requested(self):
         inst = generate_instance(GeneratorSpec(3, 3, seed=13))

@@ -47,7 +47,6 @@ from auctionlab.price_tree import (
     ALPHA,
     EVEN,
     ODD,
-    build_bins,
     build_modified_tree,
     canonical_vectors,
     solve_parameters,
@@ -590,7 +589,7 @@ class TestPriceLearningMechanism:
         lo, hi = Fraction(psi_min), Fraction(psi_max)
         fresh = solve_parameters(psi_min, psi_max)
         for parity in (ODD, EVEN, ODD, EVEN):  # the repeats come from the cache
-            tree = build_modified_tree(build_bins(fresh), parity)
+            tree = build_modified_tree(fresh, parity)
             assert _range_tree(fresh, parity) == tree
             for m in (0, 1, 3, 8):
                 bounds = bounds_of(lo, hi)
@@ -604,7 +603,7 @@ class TestPriceLearningMechanism:
         for seed in range(6):
             run = price_learning_mechanism(bidders, 3, psi_min, psi_max, CoinTape(seed))
             assert run.params == fresh
-            assert run.tree == build_modified_tree(build_bins(fresh), run.parity)
+            assert run.tree == build_modified_tree(fresh, run.parity)
 
     def test_stopped_run_allocates_only_from_that_iteration(self):
         rng = random.Random(1)
@@ -716,7 +715,7 @@ class TestPricesByShape:
             parity, m = rng.choice((ODD, EVEN)), rng.randint(0, 8)
             fresh = solve_parameters(lo, hi)
             wide += fresh.beta == 2
-            tree = build_modified_tree(build_bins(fresh), parity)
+            tree = build_modified_tree(fresh, parity)
             params, root, vectors, halves = _first_prices(bounds_of(lo, hi), parity, m)
             assert params == fresh
             assert root == (tree.prices(1)[0],) * m
@@ -724,7 +723,7 @@ class TestPricesByShape:
             assert vectors == tuple(reference)
             assert halves == tuple(_halve(v) for v in reference)
             run = price_learning_mechanism([], m, lo, hi, CoinTape(k))
-            assert run.tree == build_modified_tree(build_bins(fresh), run.parity)
+            assert run.tree == build_modified_tree(fresh, run.parity)
         assert wide >= 150
 
     @settings(max_examples=300, deadline=None)

@@ -27,3 +27,13 @@ def test_traced_names_resolve(monkeypatch):
         assert callable(getattr(module, fn_name, None)), (module_name, fn_name)
     for method in spans.COIN_TAPE_METHODS:
         assert callable(getattr(CoinTape, method, None)), method
+
+
+def test_traced_functions_are_not_wrapped(monkeypatch):
+    """The tracer patches a function only where it finds the original
+    itself, so a decorated one (``lru_cache`` sets ``__wrapped__``) would
+    never be traced and its span would read 0 calls."""
+    spans = load_spans(monkeypatch)
+    for module_name, fn_name in spans.FUNCTIONS:
+        fn = getattr(importlib.import_module(f"auctionlab.{module_name}"), fn_name)
+        assert not hasattr(fn, "__wrapped__"), (module_name, fn_name)

@@ -1,4 +1,5 @@
-"""Bins, parameter solving, and tree structure, against worked examples."""
+"""Geometric bins, parameter solving, and modified trees built from their
+params, against worked examples and the nested reference construction."""
 
 import random
 from fractions import Fraction
@@ -11,7 +12,6 @@ from auctionlab.errors import DomainError, InvariantViolationError
 from auctionlab.price_tree import (
     EVEN,
     ODD,
-    Bins,
     Params,
     build_bins,
     build_modified_tree,
@@ -29,6 +29,7 @@ from tree_reference import (
     nested_canonical_vectors,
     nested_tree,
     nodes,
+    retained,
     strong_node,
 )
 
@@ -92,22 +93,22 @@ FOUR_BINS = Params(2, 2, Fraction(4), Fraction(1), Fraction(256))
 class TestBins:
     def test_geometric_partition(self):
         bins = build_bins(FOUR_BINS)
-        assert len(bins.cells) == 4
-        assert [c.price for c in bins.cells] == [1, 4, 16, 64]
-        assert [c.upper for c in bins.cells] == [4, 16, 64, 256]
-        assert [c.closed for c in bins.cells] == [False, False, False, True]
+        assert len(bins) == 4
+        assert [c.price for c in bins] == [1, 4, 16, 64]
+        assert [c.upper for c in bins] == [4, 16, 64, 256]
+        assert [c.closed for c in bins] == [False, False, False, True]
 
     def test_single_point_bin(self):
         bins = build_bins(Params(2, 1, Fraction(40), Fraction(5), Fraction(5)))
-        assert len(bins.cells) == 1
-        assert contains(bins.cells[0], Fraction(5))
-        assert bins.cells[0].price == 5
+        assert len(bins) == 1
+        assert contains(bins[0], Fraction(5))
+        assert bins[0].price == 5
 
     def test_membership(self):
         bins = build_bins(FOUR_BINS)
 
         def owners(price):
-            return [c.index for c in bins.cells if contains(c, price)]
+            return [c.index for c in bins if contains(c, price)]
 
         assert owners(Fraction(1)) == [1]
         assert owners(Fraction(4)) == [2]
@@ -117,22 +118,21 @@ class TestBins:
         assert owners(Fraction(1, 2)) == []
 
     def test_within_bin_spread_is_at_most_gamma(self):
-        bins = build_bins(FOUR_BINS)
-        for cell in bins.cells:
+        for cell in build_bins(FOUR_BINS):
             assert cell.upper <= cell.price * FOUR_BINS.gamma
 
 
 class TestModifiedTree:
     def test_odd_tree_of_four_bins(self):
-        tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
+        tree = build_modified_tree(FOUR_BINS, ODD)
         leaf_prices = [c.price for c in tree.leaves if c.index is not None]
         assert leaf_prices == [1, 16]
         assert bin_indices(tree.leaves) == (1, 3)
         assert tree.prices(1) == (1,)
 
     def test_even_tree_of_single_bin_is_dummy_backed(self):
-        bins = build_bins(Params(2, 1, Fraction(40), Fraction(5), Fraction(5)))
-        tree = build_modified_tree(bins, EVEN)
+        params = Params(2, 1, Fraction(40), Fraction(5), Fraction(5))
+        tree = build_modified_tree(params, EVEN)
         assert bin_indices(tree.leaves) == ()
         assert all(
             not belongs(cells, Fraction(5))
@@ -140,14 +140,13 @@ class TestModifiedTree:
             for cells in nodes(tree, level)
         )
         assert tree.leaf_of(Fraction(5)) is None
-        assert tree.prices(1)[0] > bins.params.psi_max
+        assert tree.prices(1)[0] > params.psi_max
 
     def test_figure_shape_alpha2_beta3_t8(self):
         # eight bins at gamma = 2; the odd tree keeps B1, B3, B5, B7 as leaves
         params = Params(2, 3, Fraction(2), Fraction(1), Fraction(200))
-        bins = build_bins(params)
-        assert len(bins.cells) == 8
-        tree = build_modified_tree(bins, ODD)
+        assert len(build_bins(params)) == 8
+        tree = build_modified_tree(params, ODD)
         assert tree.depth == 4
         assert len(tree.leaves) == 8
         assert bin_indices(tree.leaves) == (1, 3, 5, 7)
@@ -156,28 +155,28 @@ class TestModifiedTree:
         # t = 8; the odd tree keeps 4 bins, over the capacity alpha^beta = 2
         params = Params(2, 1, Fraction(2), Fraction(1), Fraction(200))
         with pytest.raises(InvariantViolationError):
-            build_modified_tree(build_bins(params), ODD)
+            build_modified_tree(params, ODD)
 
     def test_bad_parity(self):
         with pytest.raises(DomainError):
-            build_modified_tree(build_bins(FOUR_BINS), "both")
+            build_modified_tree(FOUR_BINS, "both")
 
 
 class TestBelonging:
     def test_root_price_strongly_belongs(self):
-        tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
+        tree = build_modified_tree(FOUR_BINS, ODD)
         assert strong_node(tree, Fraction(1), 1) == 0
         assert tree.position(Fraction(1), 1) == 0
         assert belongs(tree.leaves, Fraction(1))
 
     def test_belongs_without_strongly(self):
-        tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
+        tree = build_modified_tree(FOUR_BINS, ODD)
         assert belongs(tree.leaves, Fraction(16))
         assert strong_node(tree, Fraction(16), 1) is None
         assert tree.position(Fraction(16), 1) is None
 
     def test_strong_node_level_out_of_range(self):
-        tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
+        tree = build_modified_tree(FOUR_BINS, ODD)
         for level in (0, tree.depth + 1):
             with pytest.raises(DomainError):
                 strong_node(tree, Fraction(1), level)
@@ -187,7 +186,7 @@ class TestBelonging:
                 tree.prices(level)
 
     def test_above_range_belongs_nowhere(self):
-        tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
+        tree = build_modified_tree(FOUR_BINS, ODD)
         assert all(
             not belongs(cells, Fraction(300))
             for level in range(1, tree.depth + 1)
@@ -196,7 +195,7 @@ class TestBelonging:
         assert tree.leaf_of(Fraction(300)) is None
 
     def test_wrong_parity_belongs_nowhere(self):
-        tree = build_modified_tree(build_bins(FOUR_BINS), ODD)
+        tree = build_modified_tree(FOUR_BINS, ODD)
         assert all(
             not belongs(cells, Fraction(5))
             for level in range(1, tree.depth + 1)
@@ -221,15 +220,15 @@ def random_params(rng):
     return params
 
 
-def lookup_probes(bins, tree):
+def lookup_probes(tree):
     """Prices on and beside every bin edge of both parities, inside every
     bin, at and past the closed psi_max edge, below psi_min, at every leaf's
     own price (dummies included, and so at every node's) and between
     dummies, and two ints."""
-    params = bins.params
+    params = tree.params
     tiny = params.psi_min / 10**6
     probes = [Fraction(0), -params.psi_min, params.psi_min / 2, 1, int(params.psi_max)]
-    for cell in bins.cells:
+    for cell in build_bins(params):
         for edge in (cell.price, cell.upper):
             probes += [edge, edge - tiny, edge + tiny]
         probes.append((cell.price + cell.upper) / 2)
@@ -257,10 +256,9 @@ def test_lookups_match_scans(parity):
     ]
     located = set()
     for params in trees:
-        bins = build_bins(params)
-        tree = build_modified_tree(bins, parity)
+        tree = build_modified_tree(params, parity)
         alpha, depth = params.alpha, tree.depth
-        for price in lookup_probes(bins, tree):
+        for price in lookup_probes(tree):
             leaf = tree.leaf_of(price)
             located.add((params.beta, leaf is not None))
             for level in range(1, depth + 1):
@@ -294,9 +292,8 @@ def test_leaf_row_matches_nested_construction(parity):
     ]
     shapes = set()
     for params in trees:
-        bins = build_bins(params)
-        tree = build_modified_tree(bins, parity)
-        levels = nested_tree(bins, parity)
+        tree = build_modified_tree(params, parity)
+        levels = nested_tree(params, parity)
         alpha = params.alpha
         shapes.add((alpha, params.beta))
         assert tree.depth == len(levels)
@@ -321,26 +318,26 @@ CANON = Params(2, 2, Fraction(2), Fraction(1), Fraction(200))  # t = 8
 
 class TestCanonicalVectors:
     def test_root_vector_refines_to_child_prices(self):
-        tree = build_modified_tree(build_bins(CANON), ODD)
+        tree = build_modified_tree(CANON, ODD)
         vecs = canonical_vectors(tree, (Fraction(1), Fraction(1)), 1)
         assert vecs == [(1, 1), (16, 16)]
 
     def test_empty_vector(self):
-        tree = build_modified_tree(build_bins(CANON), ODD)
+        tree = build_modified_tree(CANON, ODD)
         assert canonical_vectors(tree, (), 1) == [(), ()]
 
     def test_mixed_vector_refines_per_coordinate(self):
-        tree = build_modified_tree(build_bins(CANON), ODD)
+        tree = build_modified_tree(CANON, ODD)
         vecs = canonical_vectors(tree, (Fraction(1), Fraction(16)), 2)
         assert vecs == [(1, 16), (4, 64)]
 
     def test_price_outside_level_rejected(self):
-        tree = build_modified_tree(build_bins(CANON), ODD)
+        tree = build_modified_tree(CANON, ODD)
         with pytest.raises(InvariantViolationError):
             canonical_vectors(tree, (Fraction(3),), 1)
 
     def test_leaf_level_rejected(self):
-        tree = build_modified_tree(build_bins(CANON), ODD)
+        tree = build_modified_tree(CANON, ODD)
         with pytest.raises(InvariantViolationError):
             canonical_vectors(tree, (Fraction(1),), 3)
 
@@ -368,7 +365,7 @@ class TestTernaryTree:
         ],
     )
     def test_leaf_spread(self, parity, leaf_bins, leaf_prices):
-        tree = build_modified_tree(build_bins(TERNARY), parity)
+        tree = build_modified_tree(TERNARY, parity)
         assert tree.depth == 3
         assert [bin_indices((cell,)) for cell in tree.leaves] == leaf_bins
         assert [cell.price for cell in tree.leaves] == leaf_prices
@@ -385,7 +382,7 @@ class TestTernaryTree:
     def test_canonical_vectors_have_three_children(
         self, parity, root_children, vector, refined
     ):
-        tree = build_modified_tree(build_bins(TERNARY), parity)
+        tree = build_modified_tree(TERNARY, parity)
         root = (tree.prices(1)[0],) * 2
         assert canonical_vectors(tree, root, 1) == [(p, p) for p in root_children]
         vector = tuple(Fraction(p) for p in vector)
@@ -401,17 +398,17 @@ class TestTernaryTree:
 def test_tree_invariants_hold_for_solved_parameters(lo_num, ratio, parity):
     psi_min = Fraction(lo_num, 7)
     params = solve_parameters(psi_min, psi_min * ratio)
-    bins = build_bins(params)
-    tree = build_modified_tree(bins, parity)
+    tree = build_modified_tree(params, parity)
+    kept = retained(build_bins(params), parity)
 
     assert tree.depth == params.beta + 1
     assert len(tree.leaves) == params.leaf_capacity
 
     # each level partitions the retained bins
-    retained = tuple(c.index for c in bins.retained(parity))
+    indices = tuple(c.index for c in kept)
     for level in range(1, tree.depth + 1):
         spread = [i for cells in nodes(tree, level) for i in bin_indices(cells)]
-        assert tuple(spread) == retained
+        assert tuple(spread) == indices
 
     # gap property: distinct same-level prices differ by at least gamma
     for level in range(1, tree.depth + 1):
@@ -422,10 +419,10 @@ def test_tree_invariants_hold_for_solved_parameters(lo_num, ratio, parity):
 
     # partition property: a retained price belongs to exactly one node per level
     rng = random.Random(lo_num * 31 + ratio)
-    probes = [c.price for c in bins.retained(parity)]
+    probes = [c.price for c in kept]
     probes += [
         c.price + (c.upper - c.price) * Fraction(rng.randint(0, 7), 8)
-        for c in bins.retained(parity)
+        for c in kept
     ]
     for price in probes:
         for level in range(1, tree.depth + 1):

@@ -6,7 +6,9 @@ a node is a block of contiguous leaves, a price belongs to it when one of
 the block's real bins contains it (``contains``), and it strongly
 belongs to it when it equals the block's first price. ``nested_tree`` is the
 construction the leaf row replaced: leaf nodes grouped alpha at a time, level
-by level, each node holding its cells and its children.
+by level, each node holding its cells and its children. ``retained`` picks a
+parity's bins by their 1-based index, the rule ``build_modified_tree``'s
+slice must agree with.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from auctionlab.errors import DomainError, InvariantViolationError
-from auctionlab.price_tree import BinCell, Bins, PriceTree
+from auctionlab.price_tree import ODD, BinCell, Params, PriceTree, build_bins
 
 
 def nodes(tree: PriceTree, level: int) -> list[tuple[BinCell, ...]]:
@@ -83,14 +85,20 @@ def _spread(retained, alpha, levels_below):
     return out
 
 
-def nested_tree(bins: Bins, parity: str) -> list[tuple[Node, ...]]:
+def retained(bins: tuple[BinCell, ...], parity: str) -> tuple[BinCell, ...]:
+    """The bins of one parity, chosen by their 1-based ``index``."""
+    wanted = 1 if parity == ODD else 0
+    return tuple(c for c in bins if c.index % 2 == wanted)
+
+
+def nested_tree(params: Params, parity: str) -> list[tuple[Node, ...]]:
     """The modified tree as nested nodes, root level first: retained bins
     spread over the leaves by ceil-splits, empty leaves filled with dummies
     priced psi_max * gamma^k, then nodes grouped alpha at a time."""
-    params = bins.params
+    kept = retained(build_bins(params), parity)
     leaf_cells = []
     dummies = 0
-    for slot in _spread(bins.retained(parity), params.alpha, params.beta):
+    for slot in _spread(kept, params.alpha, params.beta):
         if slot is None:
             dummies += 1
             price = params.psi_max * params.gamma**dummies
