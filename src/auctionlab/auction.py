@@ -130,37 +130,43 @@ def greedy_marginal_value(bidders: Sequence[Bidder], items: Iterable[int]) -> Fr
 
     Each bidder's bundle is kept as running integer sums on its valuation's
     grid, one per row and capped by ``cap`` when there is one, so a gain
-    costs one addition per row. Gains on different grids are compared
-    exactly by cross-multiplying with the grids' scales. Every
-    (item, bidder) pair counts as one value query: ``len(set(items))`` per
-    bidder.
+    costs one addition per row, with no ``map`` or ``max`` for one row.
+    Gains on different grids are compared exactly by cross-multiplying with
+    the grids' scales. Every (item, bidder) pair counts as one value query:
+    ``len(set(items))`` per bidder.
     """
-    order = sorted(set(items))
-    if bidders and order:
-        counts = [v.item_count for _, v in bidders]
-        fewest = min(counts)
-        if order[0] < 0 or order[-1] >= fewest:
-            # The first offending (item, bidder) pair, items first.
-            j = next(j for j in order if not 0 <= j < fewest)
-            count = next(c for c in counts if not 0 <= j < c)
-            raise InstanceShapeError(f"item {j} outside 0..{count - 1}")
-    # Per bidder: its cap and scale, its entries item by item, and its sums.
-    grids = [(v.cap, v.scale) for _, v in bidders]
-    columns = [v.columns for _, v in bidders]
-    sums = [[0] * len(v.rows) for _, v in bidders]
-    current = [0] * len(bidders)
+    # A rising range is sorted and distinct already.
+    order = items if isinstance(items, range) and items.step > 0 else sorted(set(items))
+    if not bidders or not order:
+        return ZERO
+    fewest = min(v.item_count for _, v in bidders)
+    if order[0] < 0 or order[-1] >= fewest:
+        # The first offending (item, bidder) pair, items first.
+        j = next(j for j in order if not 0 <= j < fewest)
+        count = next(c for c in (v.item_count for _, v in bidders) if not 0 <= j < c)
+        raise InstanceShapeError(f"item {j} outside 0..{count - 1}")
+    # Per bidder: cap, scale, entries item by item, row sums, value so far.
+    states = [[v.cap, v.scale, v.columns, (0,) * len(v.rows), 0] for _, v in bidders]
     for j in order:
         best_gain, best_scale, best = 0, 1, None
-        for k, (cap, scale) in enumerate(grids):
-            value = max(map(add, sums[k], columns[k][j]))
-            gain = (value if cap is None else min(cap, value)) - current[k]
+        for state in states:
+            cap, scale, columns, sums, current = state
+            column = columns[j]
+            if len(column) == 1:
+                value = sums[0] + column[0]
+                sums = (value,)
+            else:
+                sums = tuple(map(add, sums, column))
+                value = max(sums)
+            if cap is not None and value > cap:
+                value = cap
+            gain = value - current
             # gain / scale > best_gain / best_scale, with positive scales.
             if gain * best_scale > best_gain * scale:
-                best_gain, best_scale, best = gain, scale, k
+                best_gain, best_scale, best, best_sums = gain, scale, state, sums
         if best is not None:
-            sums[best] = list(map(add, sums[best], columns[best][j]))
-            current[best] += best_gain
-    grid = lcm(*(scale for _, scale in grids))
-    return Fraction(
-        sum(c * (grid // scale) for c, (_, scale) in zip(current, grids)), grid
-    )
+            best[3] = best_sums
+            best[4] += best_gain
+    grid = lcm(*(state[1] for state in states))
+    total = sum(state[4] * (grid // state[1]) for state in states)
+    return Fraction(total, grid) if total else ZERO

@@ -126,19 +126,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 diag.auction_welfares
             )
             rows.append(
-                ",".join(
-                    (
-                        str(seed),
-                        str(diag.level),
-                        str(len(level.correct)),
-                        format_rational(level.correct_mass),
-                        format_rational(mean_welfare),
-                        format_rational(diag.learnable_change),
-                        str(int(diag.learnable_realized)),
-                        str(int(diag.allocatable_realized)),
-                        str(int(diag.overestimate_ok)),
-                    )
-                )
+                f"{seed},{diag.level},{len(level.correct)},"
+                f"{format_rational(level.correct_mass)},"
+                f"{format_rational(mean_welfare)},"
+                f"{format_rational(diag.learnable_change)},"
+                f"{int(diag.learnable_realized)},{int(diag.allocatable_realized)},"
+                f"{int(diag.overestimate_ok)}"
             )
     if args.output:
         with open(args.output, "w") as fp:

@@ -20,10 +20,10 @@ from .instances import Instance, instance_to_dict, valuation_to_dict
 from .mechanism import (
     CoinTape,
     MechanismOutcome,
-    bidder_utility,
     check_market,
     final_mechanism,
     sha256,
+    utility_terms,
 )
 from .oracle import brute_force_opt
 from .rationals import as_rational, format_rational
@@ -138,8 +138,9 @@ def _log_uniform_cents(low: int, high: int, grid: int) -> Draw:
     The caller fixes ``grid``, a multiple of 100, so cents are whole numbers
     on it. The logs of the bounds (``low / grid`` is correctly rounded, as
     the float of a ``Fraction`` is) and the cents grid points inside the
-    range are worked out once per bound pair; each draw takes one
-    ``rng.uniform`` and clamps the rounded cents as integers. A draw below
+    range are worked out once per bound pair; each draw takes the float
+    ``rng.uniform(log_lo, log_hi)`` gives, with one ``rng.random()``, and
+    clamps the rounded cents as integers. A draw below
     the first cent inside the range gives ``low`` and one above the last
     gives ``high``, so off-cent bounds are returned as they are. With
     ``low == high`` a draw returns ``low`` and takes nothing from ``rng``.
@@ -147,11 +148,12 @@ def _log_uniform_cents(low: int, high: int, grid: int) -> Draw:
     if low == high:
         return lambda rng: low
     log_lo, log_hi = math.log(low / grid), math.log(high / grid)
+    span = log_hi - log_lo
     cent = grid // 100
     first, last = -(-low // cent), high // cent
 
     def draw(rng: random.Random) -> int:
-        cents = round(math.exp(rng.uniform(log_lo, log_hi)) * 100)
+        cents = round(math.exp(log_lo + span * rng.random()) * 100)
         if cents < first:
             return low
         if cents > last:
@@ -317,16 +319,8 @@ def report_to_csv(report: ExperimentReport) -> str:
     lines = [CSV_HEADER]
     for t in report.trials:
         lines.append(
-            ",".join(
-                (
-                    str(t.seed),
-                    t.branch,
-                    format_rational(t.welfare),
-                    format_rational(t.payments_total),
-                    str(t.demand_queries),
-                    str(t.value_queries),
-                )
-            )
+            f"{t.seed},{t.branch},{format_rational(t.welfare)},"
+            f"{format_rational(t.payments_total)},{t.demand_queries},{t.value_queries}"
         )
     return "\n".join(lines) + "\n"
 
@@ -376,6 +370,12 @@ def _query_budget_check(outcome: MechanismOutcome, seed: int) -> list[dict]:
     ]
 
 
+def _gain(utility: tuple[int, int], base: tuple[int, int]) -> Optional[Fraction]:
+    """utility - base (as ``utility_terms`` gives them) if positive, else None."""
+    num = utility[0] * base[1] - base[0] * utility[1]
+    return Fraction(num, utility[1] * base[1]) if num > 0 else None
+
+
 def instance_digest(instance: Instance) -> str:
     """The sha256 hex digest of the instance's compact, key-sorted JSON."""
     text = json.dumps(instance_to_dict(instance), sort_keys=True, separators=(",", ":"))
@@ -393,16 +393,17 @@ def truthfulness_report(
 
     For each tape seed, each bidder, and each of ``deviations`` random
     alternative reports, the deviator's utility (measured with its true
-    valuation) must not exceed its truthful utility -- exactly. A violation
-    names the seed, the bidder, the gain, the lie, as an instance-format
-    bidder entry, and the instance, by ``instance_digest``, so that
-    ``final_mechanism`` on ``CoinTape(seed)`` with the lie in place replays
-    it on the instance it names. Also audits the per-bidder demand-query
-    budget of every run touched; a violation found in a deviating run names
-    the deviator, the lie and the instance the same way. A sweep with no
-    runs would read clean without checking anything, so ``seeds < 1`` or
-    ``deviations < 0`` raises ``ConfigError``; a market the mechanism
-    refuses is refused by ``check_market``.
+    valuation) must not exceed its truthful utility -- exactly, on the
+    integer ``utility_terms``; a gain is built as a ``Fraction`` only for a
+    violation, which names the seed, the bidder, the gain, the lie, as an
+    instance-format bidder entry, and the instance, by ``instance_digest``,
+    so that ``final_mechanism`` on ``CoinTape(seed)`` with the lie in place
+    replays it on the instance it names. Also audits the per-bidder
+    demand-query budget of every run touched; a violation found in a
+    deviating run names the deviator, the lie and the instance the same way.
+    A sweep with no runs would read clean without checking anything, so
+    ``seeds < 1`` or ``deviations < 0`` raises ``ConfigError``; a market the
+    mechanism refuses is refused by ``check_market``.
     """
     if seeds < 1:
         raise ConfigError(f"seeds must be at least 1, got {seeds}")
@@ -429,9 +430,7 @@ def truthfulness_report(
         honest = final_mechanism(bidders, m, tape)
         runs += 1
         budget_violations.extend(_query_budget_check(honest, seed))
-        base = {
-            b: bidder_utility(honest, b, v) for b, v in bidders
-        }
+        base = {b: utility_terms(honest, b, v) for b, v in bidders}
         for b, truth in bidders:
             for _ in range(deviations):
                 lie = _deviation(rng, m, grid, entry, budget)
@@ -441,9 +440,8 @@ def truthfulness_report(
                 runs += 1
                 checked += 1
                 over = _query_budget_check(outcome, seed)
-                utility = bidder_utility(outcome, b, truth)
-                gains = utility > base[b]
-                if over or gains:
+                gain = _gain(utility_terms(outcome, b, truth), base[b])
+                if over or gain:
                     replay = {
                         "lie": valuation_to_dict(lie),
                         "instance": instance_digest(instance),
@@ -451,12 +449,12 @@ def truthfulness_report(
                     budget_violations.extend(
                         {**v, "deviator": b, **replay} for v in over
                     )
-                    if gains:
+                    if gain:
                         violations.append(
                             {
                                 "seed": seed,
                                 "bidder": b,
-                                "gain": format_rational(utility - base[b]),
+                                "gain": format_rational(gain),
                                 **replay,
                             }
                         )

@@ -287,7 +287,7 @@ def _unit_tree(num: int, den: int, parity: str) -> PriceTree:
 
 
 # A price range [psi_min, psi_max] as integers: (numerator, denominator) of
-# each end, in lowest terms or not.
+# each end, in lowest terms or not, the denominators positive.
 Bounds = tuple[int, int, int, int]
 
 
@@ -303,24 +303,25 @@ def _first_prices(
     it. The cache is small because a sweep revisits only a few ranges.
 
     The range comes as integer ``Bounds``, so a cache hit hashes and
-    compares ints only. On a miss the ends become ``Fraction``s here, and
-    the unit tree is looked up by the ratio's integer terms."""
+    compares ints only. A miss checks the range and looks the unit tree up
+    on the integers, and builds each price once from integer products."""
     lo_num, lo_den, hi_num, hi_den = bounds
     psi_min, psi_max = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
-    check_range(psi_min, psi_max)
-    num, den = hi_num * lo_den, hi_den * lo_num
+    num, den = hi_num * lo_den, hi_den * lo_num  # psi_max / psi_min = num / den
+    if lo_num <= 0 or num < den:  # psi_min <= 0 or psi_max < psi_min
+        check_range(psi_min, psi_max)  # raises the range's DomainError
     g = gcd(num, den)
     unit = _unit_tree(num // g, den // g, parity)
     unit_params = unit.params
     params = Params(
         unit_params.alpha, unit_params.beta, unit_params.gamma, psi_min, psi_max
     )
-    children = [psi_min * price for price in unit.prices(2)]
+    root, *children = [p.as_integer_ratio() for p in unit.prices(1) + unit.prices(2)]
     return (
         params,
-        (psi_min * unit.prices(1)[0],) * m,
-        tuple((p,) * m for p in children),
-        tuple((p / 2,) * m for p in children),
+        (Fraction(lo_num * root[0], lo_den * root[1]),) * m,
+        tuple((Fraction(lo_num * a, lo_den * b),) * m for a, b in children),
+        tuple((Fraction(lo_num * a, 2 * lo_den * b),) * m for a, b in children),
     )
 
 
@@ -480,16 +481,28 @@ def _statistic_bounds(statistic: Fraction, m: int) -> Bounds:
     return (num, den * m * m, 8 * num, den) if num else (1, 1, 1, 1)
 
 
-def bidder_utility(
+def utility_terms(
     outcome: MechanismOutcome, bidder: int, true_valuation: Valuation
-) -> Fraction:
-    """Quasi-linear utility: true value of the received bundle minus payment.
-
-    Raises ``DomainError`` for a bidder the run never saw: one that neither
-    answered a value query nor sat in a learning group."""
+) -> tuple[int, int]:
+    """Quasi-linear utility, true value of the bundle minus payment, as
+    integers ``(num, den)``, ``den > 0``: ``(0, 1)``, with no value query,
+    for a bidder who gets and pays nothing. Raises ``DomainError`` for a
+    bidder the run never saw, in no learning group and never value-queried."""
     if bidder not in outcome.value_queries and all(
         bidder not in group for group in outcome.groups
     ):
         raise DomainError(f"bidder {bidder} did not participate")
     bundle = outcome.allocation.bundle(bidder)
-    return value_query(true_valuation, bundle) - outcome.allocation.payment(bidder)
+    payment = outcome.allocation.payment(bidder)
+    if not bundle and not payment:
+        return 0, 1
+    value_num, value_den = value_query(true_valuation, bundle).as_integer_ratio()
+    pay_num, pay_den = payment.as_integer_ratio()
+    return value_num * pay_den - pay_num * value_den, value_den * pay_den
+
+
+def bidder_utility(
+    outcome: MechanismOutcome, bidder: int, true_valuation: Valuation
+) -> Fraction:
+    """``utility_terms`` as a ``Fraction``: the exact utility."""
+    return Fraction(*utility_terms(outcome, bidder, true_valuation))

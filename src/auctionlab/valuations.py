@@ -28,9 +28,9 @@ Queries:
   maximizing row of S, scaled down to the cap when they sum past it.
 
 All arithmetic is exact. Kept beside the form, outside its equality, and
-worked out once per valuation: the whole item set ``all_items``, its value
-``grand_value``, and ``columns``, the rows item by item, which the greedy
-statistic reads. ``value_query`` answers the whole set, which every
+worked out on first read, lock-free: the whole item set ``all_items``, its
+value ``grand_value``, and ``columns``, the rows item by item, which the
+greedy statistic reads. ``value_query`` answers the whole set, which every
 second-price auction asks for, with ``grand_value`` and the empty bundle
 with ``rationals.ZERO``, checking no item; any other bundle has every item
 range-checked, so an out-of-range item raises whatever the bundle's size.
@@ -61,6 +61,16 @@ ItemSet = frozenset[int]
 ENUMERATION_CAP = 20
 # The budget-additive knapsack refuses tables with more cells than this.
 KNAPSACK_CELL_CAP = 5_000_000
+
+
+class _fact(cached_property):
+    """``cached_property`` without the lock it takes before Python 3.12."""
+
+    def __get__(self, valuation, owner=None):
+        if valuation is None:
+            return self
+        fact = valuation.__dict__[self.attrname] = self.func(valuation)
+        return fact
 
 
 @dataclass(frozen=True)
@@ -110,12 +120,12 @@ class Valuation:
     def item_count(self) -> int:
         return len(self.rows[0])
 
-    @cached_property
+    @_fact
     def all_items(self) -> ItemSet:
         """The whole item set, 0..item_count-1."""
         return frozenset(range(self.item_count))
 
-    @cached_property
+    @_fact
     def grand_value(self) -> Fraction:
         """The value of all the items: the largest row sum, capped. A zero
         value is ``ZERO``, the empty bundle's answer, which is also the whole
@@ -125,7 +135,7 @@ class Valuation:
             total = min(self.cap, total)
         return Fraction(total, self.scale) if total else ZERO
 
-    @cached_property
+    @_fact
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """The rows item by item: ``columns[j]`` holds item j's entry of
         every row, in row order."""

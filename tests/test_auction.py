@@ -17,7 +17,7 @@ from auctionlab.auction import (
 )
 from auctionlab.errors import DomainError, InstanceShapeError
 from auctionlab.oracle import brute_force_opt, welfare
-from auctionlab.valuations import additive, budget_additive, value_query, xos
+from auctionlab.valuations import additive, budget_additive, on_grid, value_query, xos
 
 from mechanism_reference import (
     FAMILIES,
@@ -238,6 +238,43 @@ class TestGreedyMarginalValue:
             fast = greedy_marginal_value(bidders, items)
             slow = reference_greedy(bidders, items)
             assert fast == welfare(slow, dict(bidders)), case
+
+    def test_range_items_match_the_item_list(self):
+        """A ``range`` of items, which the statistic scans without sorting
+        when it rises, gives the welfare and the errors of the same items
+        as a shuffled list with repeats, rising or not, one-row and
+        multi-row bidders alike."""
+        rng = random.Random(36)
+        for case in range(300):
+            m = rng.randint(0, 6)
+            bidders = []
+            for b in range(rng.randint(1, 4)):
+                rows = [[rng.randint(0, 4) for _ in range(m)] for _ in range(3)]
+                kind = rng.randrange(3)
+                if kind == 0:
+                    bidders.append((b, on_grid(rng.choice((1, 2, 3)), rows)))
+                elif kind == 1:
+                    bidders.append((b, on_grid(rng.choice((1, 2, 3)), rows[:1])))
+                else:
+                    cap = rng.randint(0, sum(rows[0]))
+                    bidders.append((b, on_grid(rng.choice((1, 2, 3)), rows[:1], cap)))
+            start, stop = rng.randint(-1, 2), rng.randint(0, m + 1)
+            for items in (
+                range(start, stop),
+                range(start, stop, rng.randint(1, 3)),
+                range(stop - 1, start - 1, -1),
+            ):
+                listed = list(items) * 2
+                rng.shuffle(listed)
+                try:
+                    expected = greedy_marginal_value(bidders, listed)
+                except InstanceShapeError as exc:
+                    with pytest.raises(InstanceShapeError) as raised:
+                        greedy_marginal_value(bidders, items)
+                    assert str(raised.value) == str(exc), case
+                    continue
+                assert greedy_marginal_value(bidders, items) == expected, case
+                assert expected == welfare(reference_greedy(bidders, items), dict(bidders))
 
     def test_item_outside_range_rejected(self):
         with pytest.raises(InstanceShapeError, match="item 2 outside 0..1"):

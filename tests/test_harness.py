@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -27,6 +28,7 @@ from auctionlab.harness import (
     _ratio_quantiles,
     _cents_grid,
     _deviation,
+    _gain,
     _log_uniform_cents,
     ExperimentConfig,
     GeneratorSpec,
@@ -43,9 +45,16 @@ from auctionlab.instances import (
     instance_to_dict,
     load_instance,
 )
-from auctionlab.mechanism import SECOND_PRICE, CoinTape, bidder_utility, final_mechanism
-from auctionlab.rationals import format_rational
-from auctionlab.valuations import additive, budget_additive, xos
+from auctionlab.mechanism import (
+    SECOND_PRICE,
+    CoinTape,
+    MechanismOutcome,
+    bidder_utility,
+    final_mechanism,
+    utility_terms,
+)
+from auctionlab.rationals import ZERO, format_rational
+from auctionlab.valuations import additive, budget_additive, on_grid, value_query, xos
 
 
 def reference_log_uniform(rng, lo, hi):
@@ -568,6 +577,73 @@ class TestTruthfulnessReport:
         assert digests == LIE_DIGESTS
 
 
+class TestIntegerGains:
+    """``utility_terms`` and ``_gain`` decide a deviation's gain on integers;
+    the reference is the path they replace, ``value_query(...) - payment``
+    on ``Fraction``s compared with ``>``."""
+
+    def test_gain_decisions_match_fraction_utilities(self):
+        rng = random.Random(25)
+        seen = Counter()
+        for case in range(3000):
+            m = rng.randint(1, 5)
+            rows = [
+                [rng.choice((0, 0, 1, 2, 5, 30)) for _ in range(m)]
+                for _ in range(rng.randint(1, 3))
+            ]
+            family = rng.randrange(3)  # XOS, additive, budget-additive
+            if family:
+                rows = rows[:1]
+            cap = rng.randint(0, sum(rows[0]) + 3) if family == 2 else None
+            truth = on_grid(rng.choice((1, 3, 100, 300)), rows, cap)
+
+            def share():
+                return frozenset(j for j in range(m) if rng.random() < 0.4)
+
+            def price():
+                if rng.random() < 0.4:
+                    return ZERO
+                return Fraction(rng.randint(0, 40), rng.choice((1, 2, 3, 7, 100)))
+
+            def outcome(bundle, payment):
+                # The bidder is named or left out when it gets or pays nothing.
+                named = bundle or payment or rng.random() < 0.5
+                allocation = Allocation(
+                    {0: bundle} if named else {}, {0: payment} if named else {}
+                )
+                return MechanismOutcome(
+                    allocation=allocation,
+                    welfare=ZERO,
+                    branch=SECOND_PRICE,
+                    value_queries={0: 1},
+                )
+
+            base_bundle, base_payment = share(), price()
+            base = value_query(truth, base_bundle) - base_payment
+            bundle, payment = share(), price()
+            if rng.random() < 0.3:
+                # Priced so that the utility ties the base, where it can.
+                payment = max(ZERO, value_query(truth, bundle) - base)
+            utility = value_query(truth, bundle) - payment
+
+            terms = utility_terms(outcome(bundle, payment), 0, truth)
+            base_terms = utility_terms(outcome(base_bundle, base_payment), 0, truth)
+            assert terms[1] > 0 and base_terms[1] > 0
+            assert Fraction(*terms) == utility, case
+            assert Fraction(*base_terms) == base, case
+            assert bidder_utility(outcome(bundle, payment), 0, truth) == utility
+            gain = _gain(terms, base_terms)
+            if utility > base:
+                assert gain == utility - base, case
+                seen["gain"] += 1
+            else:
+                assert gain is None, case
+                seen["tie" if utility == base else "loss"] += 1
+            seen["nothing"] += terms == base_terms == (0, 1)
+            seen["zero payment"] += payment == 0 and bool(bundle)
+        assert min(seen.values()) > 100, seen
+
+
 class TestIntegerDraws:
     @pytest.mark.parametrize("family", harness.FAMILIES)
     @pytest.mark.parametrize("lo, hi", DRAW_RANGES)
@@ -599,3 +675,32 @@ class TestIntegerDraws:
                 map(integer_form, slow.valuations)
             )
             assert made.pop().getstate() == slow_rng.getstate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        low=st.integers(1, 10**7),
+        extra=st.integers(1, 10**8),
+        grid=st.sampled_from((100, 300, 700, 10**4, 3 * 10**6)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_draw_matches_uniform_bit_for_bit(self, low, extra, grid, seed):
+        """The draw's ``log_lo + span * rng.random()`` is the float
+        ``rng.uniform(log_lo, log_hi)`` gives, so the draws and the PRNG
+        states agree with the draw as written on ``uniform``."""
+        high = low + extra
+        log_lo, log_hi = math.log(low / grid), math.log(high / grid)
+        fast, slow = random.Random(seed), random.Random(seed)
+        span = log_hi - log_lo
+        for _ in range(20):
+            assert log_lo + span * fast.random() == slow.uniform(log_lo, log_hi)
+        cent = grid // 100
+        first, last = -(-low // cent), high // cent
+
+        def uniform_draw(rng):
+            cents = round(math.exp(rng.uniform(log_lo, log_hi)) * 100)
+            return low if cents < first else high if cents > last else cents * cent
+
+        draw = _log_uniform_cents(low, high, grid)
+        for _ in range(20):
+            assert draw(fast) == uniform_draw(slow)
+        assert fast.getstate() == slow.getstate()

@@ -11,7 +11,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import auctionlab
@@ -749,6 +749,44 @@ class TestPricesByShape:
         assert _first_prices.cache_info().hits == 1
         # The ends in lowest terms name the same range.
         assert _first_prices(bounds_of(lo, hi), parity, m) == reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo_num=st.integers(-20, 10**6),
+        lo_den=st.integers(1, 10**4),
+        hi_num=st.integers(-20, 10**8),
+        hi_den=st.integers(1, 10**4),
+        k=st.integers(1, 60),
+        j=st.integers(1, 60),
+        m=st.integers(0, 8),
+        parity=st.sampled_from((ODD, EVEN)),
+    )
+    @example(1, 1, 1, 1, 7, 3, 4, ODD)  # the range [1, 1]
+    @example(1, 1, 1, 1, 1, 1, 2, EVEN)
+    @example(-1, 2, 5, 1, 4, 1, 2, ODD)  # psi_min -4/8
+    @example(0, 3, 0, 1, 2, 2, 2, ODD)
+    @example(3, 2, 4, 3, 6, 5, 2, EVEN)  # psi_max 4/3 below psi_min 3/2
+    def test_integer_first_prices_match_reference(
+        self, lo_num, lo_den, hi_num, hi_den, k, j, m, parity
+    ):
+        """``Bounds`` not in lowest terms give the reference's ``Params`` and
+        vectors, each price a ``Fraction``, on a cache miss; an invalid range
+        raises the reference's ``DomainError`` message."""
+        lo, hi = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
+        bounds = (lo_num * k, lo_den * k, hi_num * j, hi_den * j)
+        _first_prices.cache_clear()
+        try:
+            reference = reference_first_prices(lo, hi, parity, m)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as raised:
+                _first_prices(bounds, parity, m)
+            assert str(raised.value) == str(exc)
+            return
+        got = _first_prices(bounds, parity, m)
+        assert got == reference
+        params, root, vectors, halves = got
+        prices = (params.psi_min, params.psi_max, *root, *sum(vectors + halves, ()))
+        assert all(type(p) is Fraction for p in prices)
 
     @pytest.mark.parametrize("m", [1, 2, 7])
     def test_zero_statistic_range_is_one_one(self, m):

@@ -1,6 +1,8 @@
 """Value, demand, and supporting-price queries against direct enumeration."""
 
 import random
+from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -27,6 +29,7 @@ from auctionlab.valuations import (
     xos,
 )
 from demand_reference import reference_demand
+from mechanism_reference import FAMILIES, valuations
 
 
 def enumerate_best_profit(valuation, prices, items):
@@ -238,6 +241,94 @@ class TestIntegerGrid:
             assert "grand_value" in vars(warm) and "grand_value" not in vars(cold)
             assert warm == cold and hash(warm) == hash(cold)
             assert repr(warm) == text
+
+
+# Each valuation fact and its direct recomputation from the fields.
+FACTS = {
+    "all_items": lambda v: frozenset(range(v.item_count)),
+    "grand_value": lambda v: per_item_value_query(v, range(v.item_count)),
+    "columns": lambda v: tuple(
+        tuple(row[j] for row in v.rows) for j in range(v.item_count)
+    ),
+}
+
+
+class Unlockable:
+    """A lock whose use fails the test: reading a fact must take none."""
+
+    def __enter__(self):
+        raise AssertionError("a valuation fact took a lock")
+
+    def __exit__(self, *exc):
+        return False
+
+
+@contextmanager
+def counted_fact(name):
+    """Count the computations of fact ``name`` while it is in force, with
+    the fact's lock, where the Python version has one, made unusable."""
+    fact = Valuation.__dict__[name]
+    compute = fact.func
+    calls = []
+
+    def counting(valuation):
+        calls.append(valuation)
+        return compute(valuation)
+
+    saved = dict(vars(fact))
+    fact.func, fact.lock = counting, Unlockable()
+    try:
+        yield calls
+    finally:
+        vars(fact).clear()
+        vars(fact).update(saved)
+
+
+@st.composite
+def family_valuations(draw):
+    """A valuation of one of the three families over 0 to 6 items."""
+    return draw(valuations(draw(st.integers(0, 6)), draw(st.sampled_from(FAMILIES))))
+
+
+class TestValuationFacts:
+    """``all_items``, ``grand_value`` and ``columns`` are worked out on
+    their first read, at most once, without a lock, and stay outside the
+    valuation's equality."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(v=family_valuations(), name=st.sampled_from(sorted(FACTS)))
+    def test_fact_equals_direct_recomputation(self, v, name):
+        assert getattr(v, name) == FACTS[name](v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(v=family_valuations(), name=st.sampled_from(sorted(FACTS)))
+    def test_reading_a_fact_leaves_eq_hash_and_replace_alone(self, v, name):
+        warm, cold = replace(v), replace(v)
+        text = repr(cold)
+        getattr(warm, name)
+        assert name in vars(warm) and name not in vars(cold)
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == text
+        copy = replace(warm)
+        assert copy == cold and hash(copy) == hash(cold)
+        # replace builds from the fields alone: the fact is not carried over.
+        assert name not in vars(copy)
+
+    @settings(max_examples=150, deadline=None)
+    @given(v=family_valuations(), name=st.sampled_from(sorted(FACTS)))
+    def test_fresh_valuation_computes_a_fact_at_most_once(self, v, name):
+        with counted_fact(name) as calls:
+            fresh = replace(v)
+            first = getattr(fresh, name)
+            assert all(getattr(fresh, name) is first for _ in range(3))
+            # The value queries that read the facts read the kept ones.
+            value_query(fresh, range(fresh.item_count))
+            value_query(fresh, fresh.all_items)
+        assert calls == [fresh]
+
+    def test_facts_are_documented_on_the_class(self):
+        for name in FACTS:
+            assert Valuation.__dict__[name].__doc__
+            assert getattr(Valuation, name) is Valuation.__dict__[name]
 
 
 class TestOneForm:
