@@ -64,7 +64,9 @@ class Allocation:
 
     @property
     def total_payments(self) -> Fraction:
-        return sum(self.payments.values(), ZERO)
+        """The sum of the payments: a lone payment itself, ``ZERO`` for none."""
+        first, *rest = self.payments.values() or (ZERO,)
+        return sum(rest, first)
 
 
 def fixed_price_auction(
@@ -88,7 +90,7 @@ def fixed_price_auction(
     for bidder_id, valuation in bidders:
         taken = demand_query(valuation, prices, allowed=remaining)
         bundles[bidder_id] = taken
-        payments[bidder_id] = sum((prices[j] for j in taken), Fraction(0))
+        payments[bidder_id] = sum((prices[j] for j in taken), ZERO)
         remaining -= taken
     return Allocation(bundles, payments)
 

@@ -32,7 +32,7 @@ from .instances import dump_instance, load_instance
 from .mechanism import CoinTape, check_market, price_learning_mechanism
 from .oracle import brute_force_opt
 from .price_tree import solve_parameters
-from .rationals import as_rational, format_rational
+from .rationals import ZERO, as_rational, format_rational
 from .trace import build_trace, check_learnable_or_allocatable
 
 TRACE_CSV_HEADER = (
@@ -122,13 +122,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         traces.append(trace)
         for diag in trace.iterations:
             level = trace.level(diag.level)
-            mean_welfare = sum(diag.auction_welfares, Fraction(0)) / len(
-                diag.auction_welfares
-            )
+            mean = sum(diag.auction_welfares, ZERO) / len(diag.auction_welfares)
             rows.append(
                 f"{seed},{diag.level},{len(level.correct)},"
                 f"{format_rational(level.correct_mass)},"
-                f"{format_rational(mean_welfare)},"
+                f"{format_rational(mean)},"
                 f"{format_rational(diag.learnable_change)},"
                 f"{int(diag.learnable_realized)},{int(diag.allocatable_realized)},"
                 f"{int(diag.overestimate_ok)}"

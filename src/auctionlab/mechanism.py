@@ -16,10 +16,10 @@ The learning mechanism proper:
 2. flip the parity coin and build the modified price tree;
 3. starting from the root price vector, run alpha posted-price auctions per
    iteration on that iteration's group (at half prices), then either stop and
-   keep one of the alpha outcomes (stop coin, probability 1/beta) or refine
-   the vector with the per-item "highest auction that sold it" rule. An
-   empty group runs no auctions: its record holds alpha empty allocations
-   and alpha zero welfares, what alpha auctions without bidders give;
+   keep one of the alpha outcomes (stop coin, probability 1/beta, so certain
+   and not flipped at beta = 1) or refine the vector with the per-item
+   "highest auction that sold it" rule. An empty group runs no auctions: its
+   record holds alpha empty allocations and alpha zero welfares;
 4. if no stop coin fired, sell to the last group at the learned leaf prices.
 
 Only the returned auction's allocation and payments count; auctions that ran
@@ -89,7 +89,8 @@ class CoinTape:
     A call the record lacks seeds the stream afresh, makes the stream's
     calls again and records the last draw: exactly the draw of a fresh
     tape. A fresh tape therefore seeds a stream once per call on it. The
-    record lives as long as the tape and its replays.
+    record lives as long as the tape and its replays. A beta = 1 run makes
+    no ``stop_coin`` call: its stop is certain.
     """
 
     STREAMS = (
@@ -382,7 +383,7 @@ def _learning_run(
             allocations = (Allocation({}, {}),) * len(halves)
             welfares = (ZERO,) * len(halves)
         records.append(IterationRecord(i, vectors, allocations, welfares))
-        stop = tape.stop_coin(params.beta)
+        stop = params.beta == 1 or tape.stop_coin(params.beta)
         pick = tape.pick_auction(params.alpha)
         if stop:
             selected, selected_welfare = allocations[pick], welfares[pick]

@@ -30,13 +30,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .auction import Allocation
 from .errors import CapabilityError, InstanceShapeError, InvariantViolationError
-from .rationals import ZERO
+from .price_tree import Params
+from .rationals import ZERO, common_scale, scaled_ints
 from .valuations import (
     Valuation,
+    _fact,
     bundle_value_table,
     max_subset_sums,
     supporting_prices,
@@ -50,13 +52,26 @@ class OptimalSolution:
 
     ``assignment[j]`` is the bidder receiving item j, or n (the bidder count)
     when j is unassigned. ``supporting_prices[j]`` is item j's supporting
-    price in its winner's bundle, 0 for unassigned items.
+    price in its winner's bundle, 0 for unassigned items. What the analysis
+    trace reads of the prices is kept beside the fields, outside equality.
     """
 
     allocation: Allocation
     welfare: Fraction
     supporting_prices: tuple[Fraction, ...]
     assignment: tuple[int, ...]
+
+    @_fact
+    def price_grid(self) -> tuple[int, tuple[int, ...]]:
+        """The lcm of the supporting prices' denominators, each price times it."""
+        grid = common_scale(self.supporting_prices)
+        return grid, tuple(scaled_ints(self.supporting_prices, grid))
+
+    @_fact
+    def leaves(self) -> dict[tuple[str, Params], tuple[Optional[int], ...]]:
+        """Per parity and ``Params`` of a modified tree, which fix it, each
+        supporting price's ``leaf_of`` there, filled in by ``build_trace``."""
+        return {}
 
 
 def welfare(

@@ -47,24 +47,25 @@ def format_rational(value: Fraction) -> str:
     """Render a Fraction as an exact decimal string when one exists.
 
     Denominators of the form 2^a * 5^b have a finite decimal expansion and are
-    printed as plain decimals; anything else falls back to "p/q".
+    printed as plain decimals, an integer without a point; anything else
+    falls back to "p/q". A ``Fraction`` is read as it is, with no copy.
     """
-    value = Fraction(value)
-    den = value.denominator
-    twos = 0
-    while den % 2 == 0:
-        den //= 2
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    num, den = value.as_integer_ratio()
+    if den == 1:
+        return str(num)
+    rest, twos, fives = den, 0, 0
+    while rest % 2 == 0:
+        rest //= 2
         twos += 1
-    fives = 0
-    while den % 5 == 0:
-        den //= 5
+    while rest % 5 == 0:
+        rest //= 5
         fives += 1
-    if den != 1:
-        return f"{value.numerator}/{value.denominator}"
+    if rest != 1:
+        return f"{num}/{den}"
     digits = max(twos, fives)
-    scaled = value.numerator * 10**digits // value.denominator
-    if digits == 0:
-        return str(scaled)
+    scaled = num * 10**digits // den
     sign = "-" if scaled < 0 else ""
     text = str(abs(scaled)).rjust(digits + 1, "0")
     whole, frac = text[:-digits], text[-digits:]

@@ -30,13 +30,13 @@ For a run that stopped mid-way, the price vector the stopped iteration would
 have produced is reconstructed from its recorded auctions so that the
 iteration's diagnostics still exist.
 
-The price tree is a row of leaf cells, and a node is a block of them. Each
-price is located once, a supporting price by its leaf (``PriceTree.leaf_of``)
-and a learned price by its node's place in the level
-(``PriceTree.position``). The node of a supporting price at any level is its
-leaf's ancestor there (``PriceTree.ancestor``), so membership compares places.
-Masses are summed as integers on the lcm grid of the supporting prices, with
-one ``Fraction`` per reported value.
+The price tree is a row of leaf cells, and a node is a block of them. The
+instance's facts are worked out once, on the ``OptimalSolution``: its
+supporting prices on one integer grid and each one's leaf in a tree. A node
+of a supporting price is its leaf's ancestor (``PriceTree.ancestor``), and a
+run locates each distinct learned-price object once per level by its node's
+place (``PriceTree.position``), so membership compares places. Prices and
+welfares are compared as integers, with one ``Fraction`` per reported value.
 """
 
 from __future__ import annotations
@@ -111,8 +111,7 @@ def build_trace(
         raise DomainError(
             "the run carries no learning history (second-price branch?)"
         )
-    params = run.params
-    alpha = params.alpha
+    alpha, beta = run.params.alpha, run.params.beta
     ancestor = tree.ancestor
     m = len(optimal.supporting_prices)
     n = len(optimal.allocation.bundles)
@@ -126,15 +125,16 @@ def build_trace(
             if not 0 <= b < n:
                 raise DomainError(f"group {gi}: bidder {b} is not an oracle index")
             group_of[b] = gi
-    owner_group = [group_of.get(optimal.assignment[j]) for j in range(m)]
+    owner_group = list(map(group_of.get, optimal.assignment))
 
     q = optimal.supporting_prices
-    located = {j: tree.leaf_of(q[j]) for j in range(m) if owner_group[j] is not None}
-    leaf = {j: k for j, k in located.items() if k is not None}
+    grid, mass = optimal.price_grid
+    leaves = optimal.leaves.get((tree.parity, tree.params))
+    if leaves is None:
+        leaves = optimal.leaves[tree.parity, tree.params] = tuple(map(tree.leaf_of, q))
+    leaf = {j: k for j, k in enumerate(leaves) if k is not None and owner_group[j]}
     star = frozenset(leaf)
     q_star = tuple(q[j] if j in star else ZERO for j in range(m))
-    grid = common_scale(q_star)
-    mass = scaled_ints(q_star, grid)
     wnum, wden = optimal.welfare.as_integer_ratio()
 
     # Learned price vectors, extended past a stop coin for diagnostics.
@@ -148,19 +148,26 @@ def build_trace(
     refined = star
     for level in range(1, len(prices) + 1):
         vector = prices[level - 1]
-        at = [tree.position(price, level) for price in vector]
-        if None in at:
+        # A vector repeats one price object across items: locate each once.
+        distinct = {id(p): p for p in vector}
+        place = {key: tree.position(p, level) for key, p in distinct.items()}
+        if None in place.values():
+            off = next(p for p in vector if place[id(p)] is None)
             raise InvariantViolationError(
-                f"learned price {vector[at.index(None)]} is not a level-{level} price"
+                f"learned price {off} is not a level-{level} price"
             )
-        refined = frozenset(j for j in refined if ancestor(leaf[j], level) == at[j])
-        qv = tuple(
+        refined = frozenset(
+            j for j in refined if ancestor(leaf[j], level) == place[id(vector[j])]
+        )
+        # Every star item's owner is in a group, so q_vector(1) is q_star.
+        qv = q_star if level == 1 else tuple(
             q_star[j] if j in star and owner_group[j] >= level else ZERO
             for j in range(m)
         )
         correct = frozenset(j for j in refined if owner_group[j] >= level)
         for j in correct:
-            if not vector[j] <= qv[j]:
+            num, den = vector[j].as_integer_ratio()
+            if num * grid > mass[j] * den:
                 raise InvariantViolationError(
                     f"correctly priced item {j} has learned price {vector[j]} "
                     f"above supporting price {qv[j]}"
@@ -186,15 +193,11 @@ def build_trace(
         partition: list[set[int]] = [set() for _ in range(alpha)]
         for j in this.correct:
             partition[ancestor(leaf[j], i + 1) % alpha].add(j)
-        if frozenset().union(*partition) != this.correct or sum(
-            len(p) for p in partition
-        ) != len(this.correct):
+        parts = tuple(map(frozenset, partition))
+        union, size = frozenset().union(*parts), sum(map(len, parts))
+        if union != this.correct or size != len(this.correct):
             raise InvariantViolationError("demand sets do not partition")
-
-        sold = [
-            frozenset(partition[k]) & alloc.allocated_items
-            for k, alloc in enumerate(record.allocations)
-        ]
+        sold = [part & a.allocated_items for part, a in zip(parts, record.allocations)]
 
         # Both masses are of this level's q_vector: q on the items of groups
         # i and later, which every sold item, being correct at level i, is.
@@ -203,26 +206,25 @@ def build_trace(
             mass[j] for j in nxt.refinement_correct if owner_group[j] >= i
         )
         # kept >= sold - OPT / (10 beta), both sides times 10 beta * wden * grid.
-        overestimate_ok = (sold_mass - kept_mass) * 10 * params.beta * wden <= (
-            wnum * grid
-        )
+        overestimate_ok = (sold_mass - kept_mass) * 10 * beta * wden <= wnum * grid
         if not overestimate_ok:
             raise InvariantViolationError(
                 f"iteration {i} overestimate accounting failed: kept "
                 f"{Fraction(kept_mass, grid)} < sold {Fraction(sold_mass, grid)} "
-                f"- {optimal.welfare / (10 * params.beta)}"
+                f"- {optimal.welfare / (10 * beta)}"
             )
 
         change = level_mass[i] - level_mass[i - 1]
-        learnable = change * 3 * params.beta * wden >= -wnum * grid
-        mean_welfare = sum(record.welfares, ZERO) / alpha
-        allocatable = mean_welfare >= optimal.welfare / (
-            200 * alpha * params.beta**2
-        )
+        learnable = change * 3 * beta * wden >= -wnum * grid
+        # mean welfare >= OPT / (200 alpha beta^2), times alpha * 200 beta^2
+        # * wden * den, with ``den`` the welfares' common grid.
+        den = common_scale(record.welfares)
+        total = sum(scaled_ints(record.welfares, den))
+        allocatable = total * 200 * beta**2 * wden >= wnum * den
         iterations.append(
             IterationDiagnostics(
                 level=i,
-                demand_partition=tuple(frozenset(p) for p in partition),
+                demand_partition=parts,
                 sold_in_partition=tuple(sold),
                 auction_welfares=record.welfares,
                 learnable_change=Fraction(change, grid),

@@ -11,7 +11,10 @@ functions here are those steps as they were on ``Fraction``s: ``max`` and
 ``Fraction`` arithmetic, first prices keyed by the range's ends, and each
 value query tallied as it is asked. The integer path must give exactly their
 winners, payments, allocations, statistics, value-query counts, ``Params``
-and first vectors. ``valuations`` draws the bidders they are compared on.
+and first vectors. ``reference_learning_mechanism`` is the learning loop as
+it was before a beta = 1 run stopped without flipping its certain stop coin:
+every iteration flips it. ``valuations`` draws the bidders they are compared
+on.
 """
 
 from __future__ import annotations
@@ -21,16 +24,22 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from auctionlab.auction import Allocation
+from auctionlab.auction import Allocation, fixed_price_auction
 from auctionlab.mechanism import (
+    LEARNING_COMPLETED,
+    LEARNING_STOPPED,
     SECOND_PRICE,
+    IterationRecord,
     MechanismOutcome,
+    partition_bidders,
     price_learning_mechanism,
+    price_update,
 )
 from auctionlab.oracle import welfare
 from auctionlab.price_tree import (
     Params,
     build_modified_tree,
+    canonical_vectors,
     check_range,
     solve_parameters,
 )
@@ -116,12 +125,70 @@ def reference_first_prices(psi_min: Fraction, psi_max: Fraction, parity: str, m:
     )
 
 
-def reference_final_mechanism(bidders, m, tape) -> MechanismOutcome:
+def reference_learning_mechanism(
+    bidders, m, psi_min, psi_max, tape
+) -> MechanismOutcome:
+    """The learning mechanism with a stop coin flipped in every iteration,
+    at beta = 1 too, where ``random() < 1.0`` always holds. Its first prices
+    are ``reference_first_prices``, its tree is built afresh, and every
+    auction runs, an empty group's too."""
+    parity = tape.tree_parity()
+    first = reference_first_prices(Fraction(psi_min), Fraction(psi_max), parity, m)
+    params, prices, vectors, halves = first
+    tree = build_modified_tree(params, parity)
+    by_id = dict(bidders)
+    groups = partition_bidders([b for b, _ in bidders], params.beta, tape)
+    learned, records, held = [prices], [], []
+    outcome = dict(branch=LEARNING_COMPLETED, stop_iteration=None, j_star=None)
+    for i in range(1, params.beta + 1):
+        if i > 1:
+            vectors = tuple(canonical_vectors(tree, prices, i))
+            halves = tuple(tuple(p / 2 for p in v) for v in vectors)
+        group = [(b, by_id[b]) for b in groups[i - 1]]
+        allocations = tuple(fixed_price_auction(group, range(m), h) for h in halves)
+        welfares = tuple(welfare(a, by_id) for a in allocations)
+        records.append(IterationRecord(i, vectors, allocations, welfares))
+        held += allocations
+        stop = tape.stop_coin(params.beta)
+        pick = tape.pick_auction(params.alpha)
+        if stop:
+            outcome = dict(branch=LEARNING_STOPPED, stop_iteration=i, j_star=pick + 1)
+            selected, selected_welfare = allocations[pick], welfares[pick]
+            break
+        prices = price_update(allocations, vectors)
+        learned.append(prices)
+    else:
+        final_group = [(b, by_id[b]) for b in groups[params.beta]]
+        halves = tuple(p / 2 for p in prices)
+        selected = fixed_price_auction(final_group, range(m), halves)
+        selected_welfare = welfare(selected, by_id)
+        held.append(selected)
+    demand = {}
+    for allocation in held:
+        for b in allocation.bundles:
+            tally(demand, b)
+    return MechanismOutcome(
+        allocation=selected,
+        welfare=selected_welfare,
+        value_queries={},
+        demand_queries=demand,
+        learned_prices=tuple(learned),
+        params=params,
+        parity=parity,
+        groups=tuple(map(tuple, groups)),
+        iterations=tuple(records),
+        **outcome,
+    )
+
+
+def reference_final_mechanism(
+    bidders, m, tape, learn=price_learning_mechanism
+) -> MechanismOutcome:
     """The top-level mechanism from the references: the ``Fraction``
     second-price auction valued by ``oracle.welfare``, or the ``Fraction``
-    greedy statistic and range handed to ``price_learning_mechanism`` and
-    the statistic's fields put into its outcome. The value-query counts are
-    the references' tallies."""
+    greedy statistic and range handed to ``learn`` and the statistic's
+    fields put into its outcome. The value-query counts are the references'
+    tallies."""
     value_queries = {}
     if tape.second_price_branch():
         allocation = reference_second_price(bidders, range(m), value_queries)
@@ -136,7 +203,7 @@ def reference_final_mechanism(bidders, m, tape) -> MechanismOutcome:
     mech = [b for b, f in zip(bidders, flags) if not f]
     greedy = reference_greedy(stat, range(m), value_queries)
     stat_welfare = welfare(greedy, dict(stat))
-    inner = price_learning_mechanism(mech, m, *reference_range(stat_welfare, m), tape)
+    inner = learn(mech, m, *reference_range(stat_welfare, m), tape)
     return replace(
         inner,
         value_queries=value_queries,

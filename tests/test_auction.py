@@ -17,6 +17,7 @@ from auctionlab.auction import (
 )
 from auctionlab.errors import DomainError, InstanceShapeError
 from auctionlab.oracle import brute_force_opt, welfare
+from auctionlab.rationals import ZERO
 from auctionlab.valuations import additive, budget_additive, on_grid, value_query, xos
 
 from mechanism_reference import (
@@ -343,3 +344,34 @@ def test_allocation_accessors_default_to_empty():
     assert alloc.bundle(5) == frozenset()
     assert alloc.payment(5) == 0
     assert alloc.allocated_items == {1}
+
+
+@pytest.mark.parametrize(
+    "payments",
+    [
+        {},
+        {3: Fraction(7, 2)},
+        {0: Fraction(1, 3), 4: Fraction(0), 2: Fraction(5, 6)},
+    ],
+)
+def test_total_payments_is_the_fraction_sum(payments):
+    """The sum of 0, 1 and 3 payments equals the ``Fraction`` sum; a lone
+    payment is returned itself and no payment is the shared ``ZERO``."""
+    alloc = Allocation({b: frozenset() for b in payments}, payments)
+    total = alloc.total_payments
+    assert total == sum(payments.values(), Fraction(0))
+    assert type(total) is Fraction
+    if len(payments) == 1:
+        assert total is next(iter(payments.values()))
+    if not payments:
+        assert total is ZERO
+
+
+def test_payment_sums_start_from_the_shared_zero():
+    """A bidder of a fixed-price auction who takes nothing pays the shared
+    ``ZERO``, and a second-price trial's total is the winner's payment."""
+    bidders = [(0, additive((1, 1))), (1, additive((5, 5)))]
+    alloc = fixed_price_auction(bidders, {0, 1}, (Fraction(2), Fraction(2)))
+    assert alloc.payments[0] is ZERO and alloc.payments[1] == 4
+    lot = second_price_grand_bundle(bidders, range(2))
+    assert lot.total_payments is lot.payments[1]

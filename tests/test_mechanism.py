@@ -59,6 +59,7 @@ from mechanism_reference import (
     bounds_of,
     reference_final_mechanism,
     reference_first_prices,
+    reference_learning_mechanism,
     reference_range,
     valuations,
 )
@@ -419,8 +420,9 @@ class TestSweepReplay:
 
     def test_beta_one_sweep_seeds_each_honest_stream_once(self, monkeypatch):
         """At beta = 1 a sweep seeds each stream of each honest run exactly
-        once, and its replays seed nothing: the record holds every draw the
-        deviations make."""
+        once, except the stop coin, which a beta = 1 run never flips, and
+        its replays seed nothing: the record holds every draw the deviations
+        make."""
         n, m, seeds, deviations = 4, 4, 12, 3
         instance = harness.generate_instance(harness.GeneratorSpec(n, m, seed=44))
         seeded, runs = [], []
@@ -444,7 +446,7 @@ class TestSweepReplay:
         assert {o.branch == SECOND_PRICE for _, o in honest} == {True, False}
         expected = []
         for tape, outcome in honest:
-            streams = CoinTape.STREAMS
+            streams = tuple(s for s in CoinTape.STREAMS if s != "stop-coin")
             if outcome.branch == SECOND_PRICE:
                 streams = ("top-level-branch",)
             expected += [(tape, name) for name in streams]
@@ -946,6 +948,78 @@ class TestFinalMechanism:
                 if isinstance(a, dict):
                     assert list(a.items()) == list(b.items()), (seed, f.name)
         assert branches == {True, False}
+
+
+def count_stop_coins(monkeypatch, tape_class):
+    """The betas of the stop coins that ``tape_class`` tapes flip from now
+    on, in order."""
+    flipped = []
+    real = tape_class.stop_coin
+
+    def counted(self, beta):
+        flipped.append(beta)
+        return real(self, beta)
+
+    monkeypatch.setattr(tape_class, "stop_coin", counted)
+    return flipped
+
+
+def assert_same_outcome(fast, slow, seed):
+    """Equal outcomes, field by field and in query-count key order."""
+    for f in fields(MechanismOutcome):
+        a, b = getattr(fast, f.name), getattr(slow, f.name)
+        assert a == b, (seed, f.name)
+        if isinstance(a, dict):
+            assert list(a.items()) == list(b.items()), (seed, f.name)
+
+
+class TestStopCoin:
+    @pytest.mark.parametrize("family", harness.FAMILIES)
+    def test_beta_one_run_flips_no_stop_coin(self, monkeypatch, family):
+        """At beta = 1 the stop coin is certain: a run never calls
+        ``stop_coin``, and equals the reference that flips it in every
+        iteration on a ``ReferenceCoinTape``, whose every call draws. Thirty
+        bidders give a first learning group, so some runs sell."""
+        instance = harness.generate_instance(
+            harness.GeneratorSpec(30, 4, family, seed=1)
+        )
+        bidders, m = instance.bidders(), instance.item_count
+        fast_flips = count_stop_coins(monkeypatch, CoinTape)
+        slow_flips = count_stop_coins(monkeypatch, ReferenceCoinTape)
+        learning = sold = 0
+        for seed in range(60):
+            fast = final_mechanism(bidders, m, CoinTape(seed))
+            slow = reference_final_mechanism(
+                bidders, m, ReferenceCoinTape(seed), learn=reference_learning_mechanism
+            )
+            assert_same_outcome(fast, slow, seed)
+            if fast.branch != SECOND_PRICE:
+                assert fast.params.beta == 1 and fast.branch == LEARNING_STOPPED
+                learning += 1
+                sold += bool(fast.allocation.allocated_items)
+        assert fast_flips == []
+        assert slow_flips == [1] * learning
+        assert learning > 0 and sold > 0
+
+    def test_every_beta_two_iteration_flips_the_stop_coin(self, monkeypatch):
+        """On [1, 10^7], where beta = 2, every iteration a run reaches calls
+        ``stop_coin`` once, and the run equals the reference's; both stopped
+        and completed runs occur."""
+        instance = harness.generate_instance(harness.GeneratorSpec(30, 5, seed=2))
+        bidders, m = instance.bidders(), instance.item_count
+        flips = count_stop_coins(monkeypatch, CoinTape)
+        reached = set()
+        for seed in range(40):
+            before = len(flips)
+            fast = price_learning_mechanism(bidders, m, 1, 10**7, CoinTape(seed))
+            assert fast.params.beta == 2
+            assert flips[before:] == [2] * len(fast.iterations)
+            slow = reference_learning_mechanism(
+                bidders, m, 1, 10**7, ReferenceCoinTape(seed)
+            )
+            assert_same_outcome(fast, slow, seed)
+            reached.add((len(fast.iterations), fast.branch))
+        assert {(1, LEARNING_STOPPED), (2, LEARNING_COMPLETED)} <= reached
 
 
 class TestOutcomeAllocation:

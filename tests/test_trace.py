@@ -1,7 +1,7 @@
 """Analysis-trace reconstruction against the oracle."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +16,7 @@ from auctionlab.mechanism import (
     price_update,
 )
 from auctionlab.oracle import brute_force_opt
+from auctionlab.rationals import ZERO
 from auctionlab.trace import (
     AnalysisTrace,
     IterationDiagnostics,
@@ -25,6 +26,7 @@ from auctionlab.trace import (
 )
 from auctionlab.valuations import additive, budget_additive, xos
 
+from trace_reference import per_run_build_trace
 from tree_reference import belongs, children, nodes, strong_node
 
 
@@ -245,6 +247,140 @@ def differential_runs():
             run = final_mechanism(inst.bidders(), m, CoinTape(seed))
             if run.branch != SECOND_PRICE:
                 yield run, optimal
+
+
+# The CLI smoke's instances: the crowd's first learning group sells, and the
+# supporting-price windows of ``wide`` and ``deep`` give beta = 2 and 3.
+CROWD = GeneratorSpec(30, 4, "xos-random", seed=1)
+WIDE = GeneratorSpec(6, 8, "additive", value_range=(Fraction("0.01"), 100000), seed=1)
+DEEP = GeneratorSpec(
+    2, 8, "additive", value_range=(Fraction("0.000001"), 1000000), seed=1
+)
+
+
+def cli_trace_runs(spec, seeds=60):
+    """``auctionlab trace`` runs of a generated instance over its
+    supporting-price window, with the optimum they share."""
+    inst = generate_instance(spec)
+    optimal = brute_force_opt(list(inst.valuations), inst.item_count)
+    positive = [q for q in optimal.supporting_prices if q > 0]
+    lo, hi = min(positive, default=Fraction(1)), max(positive, default=Fraction(1))
+    for seed in range(seeds):
+        tape = CoinTape(seed)
+        run = price_learning_mechanism(inst.bidders(), inst.item_count, lo, hi, tape)
+        yield run, optimal
+
+
+def per_run_differential_runs():
+    """``differential_runs``, then the CLI smoke's crowd, wide and deep
+    traces."""
+    yield from differential_runs()
+    for spec in (CROWD, WIDE, DEEP):
+        yield from cli_trace_runs(spec)
+
+
+def assert_same_trace(run, optimal):
+    """``build_trace`` and ``per_run_build_trace`` give equal fields."""
+    fast = build_trace(run, optimal, run.tree)
+    slow = per_run_build_trace(run, optimal, run.tree)
+    for f in fields(AnalysisTrace):
+        assert getattr(fast, f.name) == getattr(slow, f.name), f.name
+    return fast
+
+
+def raised(build, run, optimal):
+    """The type and message of what ``build`` raises on ``run``."""
+    with pytest.raises((DomainError, InvariantViolationError)) as info:
+        build(run, optimal, run.tree)
+    return type(info.value), str(info.value)
+
+
+class TestInstanceFacts:
+    def test_matches_per_run_trace(self):
+        """The trace from the optimum's cached facts equals the one that
+        works every fact out per run, field by field: every family, beta 1,
+        2 and 3 (the wide and deep CLI windows among them), every parity
+        and window on one optimum, and crowd runs whose first group sells."""
+        reached, sold = set(), 0
+        for run, optimal in per_run_differential_runs():
+            trace = assert_same_trace(run, optimal)
+            reached.add((run.params.beta, len(trace.iterations)))
+            sold += any(w > 0 for d in trace.iterations for w in d.auction_welfares)
+        for beta in (1, 2, 3):
+            assert {(beta, i) for i in range(1, beta + 1)} <= reached, beta
+        assert sold > 0
+        crowd = [assert_same_trace(*pair) for pair in cli_trace_runs(CROWD)]
+        assert any(any(d.sold_in_partition) for t in crowd for d in t.iterations)
+
+    def test_wide_and_deep_reach_their_betas(self):
+        for spec, beta in ((WIDE, 2), (DEEP, 3)):
+            runs = list(cli_trace_runs(spec))
+            assert {run.params.beta for run, _ in runs} == {beta}
+            assert max(len(run.iterations) for run, _ in runs) == beta
+
+    def test_allocatable_at_its_threshold(self):
+        """Auction welfares set around the threshold OPT / (200 alpha
+        beta^2) of their mean, on grids other than the optimum's, give the
+        same verdicts on both paths: a mean at the threshold is allocatable,
+        one a hair below is not."""
+        for run, optimal in cli_trace_runs(WIDE, seeds=12):
+            alpha, beta = run.params.alpha, run.params.beta
+            bar = optimal.welfare / (200 * alpha * beta**2)
+            hair = Fraction(1, 7 * 10**9)
+            cases = {
+                (bar, bar): True,
+                (bar - hair, bar + hair): True,
+                (2 * bar - hair / 3, ZERO): False,
+                (bar - hair, bar): False,
+            }
+            for welfares, allocatable in cases.items():
+                records = tuple(
+                    replace(r, welfares=welfares[:alpha]) for r in run.iterations
+                )
+                trace = assert_same_trace(replace(run, iterations=records), optimal)
+                assert {d.allocatable_realized for d in trace.iterations} == {
+                    allocatable
+                }
+
+    def test_corrupted_runs_raise_alike(self):
+        """A learned price off the tree, at the first level or at the last
+        learned one with two distinct off prices, and a group id past n
+        raise the same exception with the same message on both paths."""
+        for count, (run, optimal) in enumerate(per_run_differential_runs()):
+            if count % 7:
+                continue
+            learned = run.learned_prices
+            first, last = learned[0], learned[-1]
+            n = len(optimal.allocation.bundles)
+            off_first = first[:-1] + (first[-1] * 3,)
+            if len(last) > 2:
+                off_last = (last[0], last[1] * 5, last[2] * 7) + last[3:]
+            else:
+                off_last = tuple(p * 5 for p in last)
+            corrupted = [
+                replace(run, learned_prices=(off_first,) + learned[1:]),
+                replace(run, learned_prices=learned[:-1] + (off_last,)),
+                replace(run, groups=run.groups[:-1] + (run.groups[-1] + (n,),)),
+            ]
+            for bad in corrupted:
+                fast = raised(build_trace, bad, optimal)
+                assert fast == raised(per_run_build_trace, bad, optimal)
+            _, message = raised(build_trace, corrupted[0], optimal)
+            assert "is not a level-1 price" in message
+            assert raised(build_trace, corrupted[2], optimal) == (
+                DomainError,
+                f"group {len(run.groups)}: bidder {n} is not an oracle index",
+            )
+
+    def test_facts_are_outside_equality(self):
+        """The cached facts leave the optimum equal to a fresh one, and a
+        second trace reads them unchanged."""
+        (run, optimal), *_ = cli_trace_runs(CROWD, seeds=1)
+        first = build_trace(run, optimal, run.tree)
+        assert optimal.price_grid and optimal.leaves
+        inst = generate_instance(CROWD)
+        assert optimal == brute_force_opt(list(inst.valuations), inst.item_count)
+        assert build_trace(run, optimal, run.tree) == first
 
 
 class TestBuildTrace:
