@@ -247,18 +247,19 @@ CSV_HEADER = "trial_seed,branch,welfare,payments_total,demand_queries,value_quer
 QUANTILES = (("q00", 0.0), ("q25", 0.25), ("q50", 0.5), ("q75", 0.75), ("q90", 0.9), ("q100", 1.0))
 
 
-def _ratio_quantiles(opt: Fraction, welfares: Iterable[Fraction]) -> dict[str, str]:
-    """The ``QUANTILES`` of the per-trial ratios opt / w: "inf" where w = 0,
-    and "1" throughout when opt = 0. opt / w falls as w rises, so the ratios
-    in rising order are the welfares in falling order, and only the ranks
-    read are divided."""
+def _ratio_quantiles(opt: int, welfares: Iterable[int]) -> dict[str, str]:
+    """The ``QUANTILES`` of the per-trial ratios opt / w, the optimum and
+    the welfares given as numerators on one grid: "inf" where w = 0, and "1"
+    throughout when opt = 0. opt / w falls as w rises, so the ratios in
+    rising order are the welfares in falling order, sorted as integers, and
+    a ``Fraction`` is built only for each rank read."""
     if opt == 0:
         return {name: "1" for name, _ in QUANTILES}
     falling = sorted(welfares, reverse=True)
     out = {}
     for name, level in QUANTILES:
         w = falling[max(1, math.ceil(level * len(falling))) - 1]
-        out[name] = format_rational(opt / w) if w > 0 else "inf"
+        out[name] = format_rational(Fraction(opt, w)) if w > 0 else "inf"
     return out
 
 
@@ -281,7 +282,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     instance beyond the oracle cap raises ``CapabilityError`` (rerun with
     ``measure_ratio=False`` for welfare-only reports). Convention: a zero
     optimum reports ratio 1. An instance outside the mechanism's domain is
-    refused before the oracle runs.
+    refused before the oracle runs. The welfares and the optimum are put on
+    one integer grid, the least common multiple of their denominators, and
+    the mean, the check against the optimum and the quantile ranks are
+    worked out there; a ``Fraction`` is built only for a reported figure.
     """
     instance = config.instance
     check_market(instance.bidders(), instance.item_count)
@@ -296,22 +300,28 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     trials = [
         run_trial(instance, config.base_seed + k) for k in range(config.trials)
     ]
-    mean_welfare = sum((t.welfare for t in trials), Fraction(0)) / len(trials)
+    dens = [t.welfare.denominator for t in trials]
+    grid = math.lcm(*dens, 1 if opt is None else opt.denominator)
+    welfares = [t.welfare.numerator * (grid // d) for t, d in zip(trials, dens)]
+    total = sum(welfares)
+    mean_welfare = Fraction(total, grid * len(trials))
 
     ratio = None
     quantiles: dict[str, str] = {}
     if opt is not None:
-        for t in trials:
-            if t.welfare > opt:
+        top = opt.numerator * (grid // opt.denominator)
+        for t, w in zip(trials, welfares):
+            if w > top:
                 raise InvariantViolationError(
                     f"trial {t.seed} produced welfare {t.welfare} above the "
                     f"optimum {opt}; the oracle or mechanism is broken"
                 )
-        if opt == 0:
+        if top == 0:
             ratio = Fraction(1)
-        elif mean_welfare > 0:
-            ratio = opt / mean_welfare
-        quantiles = _ratio_quantiles(opt, (t.welfare for t in trials))
+        elif total > 0:
+            # opt / mean = (top / grid) / (total / (grid * trials))
+            ratio = Fraction(top * len(trials), total)
+        quantiles = _ratio_quantiles(top, welfares)
     return ExperimentReport(tuple(trials), mean_welfare, opt, ratio, quantiles)
 
 
@@ -404,6 +414,12 @@ def truthfulness_report(
     A sweep with no runs would read clean without checking anything, so
     ``seeds < 1`` or ``deviations < 0`` raises ``ConfigError``; a market the
     mechanism refuses is refused by ``check_market``.
+
+    Every deviation replays the honest run's tape, and the mechanism reads a
+    report only through a query it records, so a lie by a bidder the honest
+    run never queried cannot change that run: ``final_mechanism`` returns the
+    honest outcome the tape keeps, without running. Such a lie is still
+    drawn and checked, so the lies after it and the report are the same.
     """
     if seeds < 1:
         raise ConfigError(f"seeds must be at least 1, got {seeds}")
@@ -425,7 +441,8 @@ def truthfulness_report(
 
     for seed in range(seeds):
         # Every deviation replays the honest run's tape: its draws are made
-        # once per seed, and the record goes when the seed is done.
+        # once per seed, the tape keeps the honest run for the deviations
+        # it never read, and both go when the seed is done.
         tape = CoinTape(seed)
         honest = final_mechanism(bidders, m, tape)
         runs += 1

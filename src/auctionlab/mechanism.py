@@ -8,7 +8,11 @@ statistics group's greedy welfare flips between zero and non-zero, and then
 only at m >= 15 (``test_reports_change_coin_calls_only_through_beta``).
 Fixing the tape therefore fixes a *deterministic* mechanism, and
 truthfulness can be tested by replaying the same tape against deviating
-reports.
+reports. The mechanism reads a report only through a query it records: a
+bidder's valuation is read only if the bidder is a key of the outcome's
+``value_queries`` or ``demand_queries``. So on a fixed tape a report the run
+never queried cannot change the outcome, and ``final_mechanism`` reuses the
+run its tape keeps when only such reports differ.
 
 The learning mechanism proper:
 
@@ -88,9 +92,16 @@ class CoinTape:
     different reports seed no stream while their calls are in the record.
     A call the record lacks seeds the stream afresh, makes the stream's
     calls again and records the last draw: exactly the draw of a fresh
-    tape. A fresh tape therefore seeds a stream once per call on it. The
-    record lives as long as the tape and its replays. A beta = 1 run makes
-    no ``stop_coin`` call: its stop is certain.
+    tape. A fresh tape therefore seeds a stream once per call on it. A
+    beta = 1 run makes no ``stop_coin`` call: its stop is certain.
+
+    Next to the record, and shared with the replays in the same way, a tape
+    keeps one run: the first ``final_mechanism`` run made on a tape of the
+    record that had made no calls yet, as a tuple copy of its bidder list,
+    its item count, its outcome and a copy of the calls it made. A later
+    run on such a tape may return that outcome and take over those calls
+    instead of running (see ``final_mechanism``). The record and the kept
+    run live as long as the tape and its replays.
     """
 
     STREAMS = (
@@ -102,17 +113,21 @@ class CoinTape:
         "j-star",
     )
 
-    def __init__(self, seed: int, _record: Optional[dict] = None):
+    def __init__(
+        self, seed: int, _record: Optional[dict] = None, _kept: Optional[list] = None
+    ):
         self.seed = seed
         # (stream, its calls so far, this one included) -> that call's draw
         self._record: dict[tuple, object] = {} if _record is None else _record
+        # [bidders, m, outcome, calls] of the kept run, once one is made
+        self._kept: list = [] if _kept is None else _kept
         # stream -> the calls this tape has made on it
         self._calls: dict[str, tuple] = {}
 
     def replay(self) -> "CoinTape":
         """A tape of the same seed that starts from the first draw and reads
-        this tape's record instead of re-drawing it."""
-        return CoinTape(self.seed, self._record)
+        this tape's record and kept run instead of re-drawing them."""
+        return CoinTape(self.seed, self._record, self._kept)
 
     def _stream(self, name: str) -> random.Random:
         """A freshly seeded PRNG for stream ``name``."""
@@ -449,7 +464,45 @@ def final_mechanism(
     built only when the range's first prices are not cached yet. Value
     queries are counted by rule: one per bidder for the second-price
     auction, one per item per statistics-group bidder for the statistic.
+
+    The first run on a ``CoinTape`` record made by a tape with no calls yet
+    is kept on the record. A later call on such a tape whose bidders have
+    the kept run's ids in the same order, whose ``m`` is the same, and
+    whose report at every bidder the kept run queried is the very object
+    it read, returns the kept outcome and takes over the kept calls without
+    running: a report is read only through a recorded query, so the run
+    would decide the same. The outcome returned is the kept object itself,
+    so its dicts are shared with every run that reused it and must not be
+    changed. Every other call runs in full.
     """
+    kept = getattr(tape, "_kept", None)  # tapes without a record keep none
+    if kept is None or tape._calls:
+        return _final_run(bidders, m, tape)
+    if kept and _unread_changes_only(kept, bidders, m):
+        tape._calls = dict(kept[3])
+        return kept[2]
+    outcome = _final_run(bidders, m, tape)
+    if not kept:
+        kept[:] = tuple(bidders), m, outcome, dict(tape._calls)
+    return outcome
+
+
+def _unread_changes_only(kept: list, bidders: Sequence[Bidder], m: int) -> bool:
+    """Whether ``bidders`` over ``m`` items differ from the kept run's only
+    in reports that run never queried: the same ids in the same order, and
+    the same report object wherever it asked a value or demand query."""
+    seen, kept_m, outcome, _ = kept
+    if m != kept_m or len(bidders) != len(seen):
+        return False
+    values, demands = outcome.value_queries, outcome.demand_queries
+    for (b, report), (was, read) in zip(bidders, seen):
+        if b != was or (report is not read and (b in values or b in demands)):
+            return False
+    return True
+
+
+def _final_run(bidders: Sequence[Bidder], m: int, tape: CoinTape) -> MechanismOutcome:
+    """``final_mechanism`` run in full on ``tape``."""
     check_market(bidders, m)
     if tape.second_price_branch():
         allocation = second_price_grand_bundle(bidders, range(m))

@@ -30,6 +30,7 @@ from typing import Optional
 
 from .errors import DomainError, InvariantViolationError
 from .rationals import RationalLike, as_rational, common_scale, scaled_ints
+from .valuations import _fact
 
 ODD = "odd"
 EVEN = "even"
@@ -45,6 +46,10 @@ class Params:
     20*alpha*beta <= gamma <= 30*alpha*beta and alpha^beta >= t are guaranteed
     for solver output and can be asserted via ``validate_parameter_equations``
     (tests exercise tree mechanics with small hand-picked gammas).
+
+    The hash is the fields' hash, worked out on the first ``hash`` and kept
+    beside them: a cache keyed by the parameters would otherwise hash three
+    ``Fraction``s on every lookup.
     """
 
     alpha: int
@@ -61,6 +66,13 @@ class Params:
         if self.gamma <= 1:
             raise DomainError(f"gamma must exceed 1, got {self.gamma}")
         check_range(self.psi_min, self.psi_max)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @_fact
+    def _hash(self) -> int:
+        return hash((self.alpha, self.beta, self.gamma, self.psi_min, self.psi_max))
 
     @property
     def bin_count(self) -> int:

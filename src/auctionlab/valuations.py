@@ -102,18 +102,21 @@ class Valuation:
                 raise InstanceShapeError(
                     f"a budget-additive valuation has one row, got {len(self.rows)}"
                 )
-        entry = "negative clause entry" if self.cap is None else "negative item value"
+        # Each row's sign and gcd in one C call: a random lie is built
+        # after ``on_grid`` has reduced it, and a Python loop over its
+        # entries was most of what the checks cost.
         for row in self.rows:
-            for x in row:
-                if x < 0:
-                    raise InstanceShapeError(f"{entry} {Fraction(x, self.scale)}")
+            if row and min(row) < 0:
+                x = next(x for x in row if x < 0)
+                entry = "negative clause entry" if self.cap is None else "negative item value"
+                raise InstanceShapeError(f"{entry} {Fraction(x, self.scale)}")
         if not self.rows:
             raise InstanceShapeError("an XOS valuation needs at least one clause")
         m = len(self.rows[0])
         for row in self.rows:
             if len(row) != m:
                 raise InstanceShapeError("clauses disagree on item count")
-        if gcd(self.scale, *(x for row in self.rows for x in row), self.cap or 0) > 1:
+        if _rows_gcd(gcd(self.scale, self.cap or 0), self.rows) > 1:
             raise InstanceShapeError(f"scale {self.scale} is not the least")
 
     @property
@@ -148,12 +151,19 @@ class Valuation:
         return totals.index(max(totals))
 
 
+def _rows_gcd(g: int, rows: Iterable[Sequence[int]]) -> int:
+    """The gcd of ``g`` and every entry of ``rows``, one C call a row."""
+    for row in rows:
+        g = gcd(g, *row)
+    return g
+
+
 def on_grid(
     grid: int, rows: Sequence[Sequence[int]], cap: Optional[int] = None
 ) -> Valuation:
     """The valuation whose numbers are ``rows`` and ``cap`` over ``grid``,
     reduced to its least scale by one gcd."""
-    g = gcd(grid, *(x for row in rows for x in row), cap or 0)
+    g = _rows_gcd(gcd(grid, cap or 0), rows)
     if g > 1:
         rows = [[x // g for x in row] for row in rows]
         cap = None if cap is None else cap // g

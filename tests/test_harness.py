@@ -339,7 +339,8 @@ class TestExperiments:
     def test_ratio_quantiles_match_per_trial_ratios(self, welfares, headroom, zero_opt):
         """The quantiles read off the welfares in falling order equal those
         of the per-trial ratios opt / w, sorted with w = 0 ("inf") last, at
-        every rank: with ties, zero welfares and opt = 0 (every welfare 0)."""
+        every rank: with ties, zero welfares and opt = 0 (every welfare 0). The
+        optimum and the welfares go in as numerators on one grid."""
         if zero_opt:
             welfares = [Fraction(0)] * len(welfares)
         opt = max(welfares) + (0 if zero_opt else headroom)
@@ -354,7 +355,10 @@ class TestExperiments:
                 expected[name] = "1"
             else:
                 expected[name] = "inf" if r is None else format_rational(r)
-        assert _ratio_quantiles(opt, welfares) == expected
+        grid = math.lcm(opt.denominator, *(w.denominator for w in welfares))
+        numerators = [w.numerator * (grid // w.denominator) for w in welfares]
+        top = opt.numerator * (grid // opt.denominator)
+        assert _ratio_quantiles(top, numerators) == expected
 
     def test_oracle_cap_with_ratio_requested(self):
         inst = generate_instance(GeneratorSpec(3, 3, seed=13))

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import auctionlab
-from auctionlab import auction, harness
+from auctionlab import auction, harness, mechanism
 from auctionlab.auction import (
     Allocation,
     fixed_price_auction,
@@ -52,7 +52,7 @@ from auctionlab.price_tree import (
     solve_parameters,
 )
 from auctionlab.rationals import ZERO
-from auctionlab.valuations import additive, budget_additive, value_query, xos
+from auctionlab.valuations import Valuation, additive, budget_additive, value_query, xos
 
 from mechanism_reference import (
     FAMILIES,
@@ -454,6 +454,155 @@ class TestSweepReplay:
         assert Counter((id(t), name) for t, name in seeded) == Counter(
             (id(t), name) for t, name in expected
         )
+
+    @pytest.mark.parametrize(
+        "n, m, family, worthless, seeds",
+        [
+            (3, 4, "xos-random", False, range(12)),
+            (5, 6, "additive", False, range(12)),
+            (4, 5, "budget-additive", False, range(12)),
+            (2, 15, "additive", True, range(8)),
+            (2, 16, "xos-random", True, range(8)),
+            (30, 4, "xos-random", False, (17, 23)),
+        ],
+    )
+    def test_replays_match_fresh_tapes(self, n, m, family, worthless, seeds):
+        """Every replay gives the outcome and makes the tape calls of a run
+        on a fresh tape, and reuses the kept run exactly when the deviator
+        is one the honest run never queried. At m >= 15 with bidder 0
+        worthless, lies move beta; the crowd's seeds 17 and 23 sell to a
+        demand-queried bidder, whose lies must run in full. A lie equal to
+        the truth but another object is a new report, so a queried bidder's
+        copy runs in full too."""
+        spec_seed = 1 if n == 30 else 100 * n + m
+        instance = harness.generate_instance(
+            harness.GeneratorSpec(n, m, family, seed=spec_seed)
+        )
+        if worthless:
+            instance = Instance(m, (xos([0] * m),) + instance.valuations[1:])
+        bidders = instance.bidders()
+        rng = random.Random(n * m)
+        counts = Counter()
+        for seed in seeds:
+            tape = CoinTape(seed)
+            honest = final_mechanism(bidders, m, tape)
+            queried = honest.value_queries.keys() | honest.demand_queries.keys()
+            if n == 30:
+                assert honest.allocation.allocated_items
+            for b, truth in bidders:
+                lies = [random_bidders(rng, 1, m)[0][1], xos([0] * m)]
+                lies.append(Valuation(truth.scale, truth.rows, truth.cap))
+                for lie in lies:
+                    twisted = list(bidders)
+                    twisted[b] = (b, lie)
+                    replay = tape.replay()
+                    outcome = final_mechanism(twisted, m, replay)
+                    fresh = CoinTape(seed)
+                    assert outcome == final_mechanism(twisted, m, fresh)
+                    assert replay._calls == fresh._calls
+                    reused = outcome is honest
+                    assert reused == (b not in queried)
+                    counts["reused" if reused else "ran"] += 1
+                    counts["betas", outcome.params and outcome.params.beta] += 1
+        assert counts["reused"] > 0 and counts["ran"] > 0
+        if m >= 15:
+            assert counts["betas", 1] > 0 and counts["betas", 2] > 0
+
+    def test_reused_tape_and_mutated_list_run_in_full(self):
+        """A tape that has made calls runs in full, drawing on from where
+        it stopped; so does a replay of a bidder list the caller changed in
+        place at a queried bidder after the honest run: the tape keeps a
+        copy of the list, not the list."""
+        m = 4
+        instance = harness.generate_instance(harness.GeneratorSpec(4, m, seed=9))
+        checked = 0
+        for seed in range(12):
+            bidders = instance.bidders()
+            tape = CoinTape(seed)
+            honest = final_mechanism(bidders, m, tape)
+            again = final_mechanism(bidders, m, tape)
+            fresh = CoinTape(seed)
+            final_mechanism(bidders, m, fresh)
+            assert again is not honest
+            assert again == final_mechanism(bidders, m, fresh)
+            assert tape._calls == fresh._calls
+
+            queried = honest.value_queries.keys() | honest.demand_queries.keys()
+            if not queried:
+                continue
+            b = min(queried)
+            bidders[b] = (b, xos([0] * m))
+            replay = tape.replay()
+            outcome = final_mechanism(bidders, m, replay)
+            fresh = CoinTape(seed)
+            assert outcome is not honest
+            assert outcome == final_mechanism(bidders, m, fresh)
+            assert replay._calls == fresh._calls
+            checked += 1
+        assert checked >= 8
+
+    def test_reused_replays_query_nothing(self, monkeypatch):
+        """A replay whose deviator the honest run never queried calls
+        neither the greedy statistic nor a demand query; a queried
+        deviator's replay runs both, as the honest run did."""
+        m = 4
+        instance = harness.generate_instance(harness.GeneratorSpec(30, m, seed=1))
+        bidders = instance.bidders()
+        calls = Counter()
+        real_greedy, real_demand = mechanism.greedy_marginal_value, auction.demand_query
+
+        def greedy(*args):
+            calls["greedy"] += 1
+            return real_greedy(*args)
+
+        def demand(*args, **kwargs):
+            calls["demand"] += 1
+            return real_demand(*args, **kwargs)
+
+        monkeypatch.setattr(mechanism, "greedy_marginal_value", greedy)
+        monkeypatch.setattr(auction, "demand_query", demand)
+        seen = Counter()
+        for seed in (17, 23):
+            tape = CoinTape(seed)
+            honest = final_mechanism(bidders, m, tape)
+            assert honest.branch == LEARNING_STOPPED and honest.demand_queries
+            for b, _ in bidders:
+                twisted = list(bidders)
+                twisted[b] = (b, xos([0] * m))
+                calls.clear()
+                final_mechanism(twisted, m, tape.replay())
+                queried = b in honest.value_queries or b in honest.demand_queries
+                assert (calls["greedy"] > 0) == queried
+                assert (calls["demand"] > 0) == queried
+                seen[queried] += 1
+        assert seen[True] > 0 and seen[False] > 0
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [(2, 3), (3, 5), (4, 6), (5, 2), (5, 6)],
+    )
+    def test_sweeps_reuse_every_unqueried_deviation(self, monkeypatch, n, m):
+        """On ``truthtest`` shapes, a sweep reuses the honest run for every
+        deviation by a bidder that run never queried, and for no other."""
+        instance = harness.generate_instance(
+            harness.GeneratorSpec(n, m, harness.FAMILIES[(n + m) % 3], seed=n * m)
+        )
+        seeds, deviations = 25, 4
+        report, outcomes, _ = sweep_outcomes(
+            monkeypatch, instance, CoinTape, seeds, deviations
+        )
+        assert report.clean
+        runs = 1 + n * deviations
+        expected = reused = 0
+        for s in range(seeds):
+            honest, *replays = outcomes[s * runs : (s + 1) * runs]
+            for k, outcome in enumerate(replays):
+                b = k // deviations
+                expected += (
+                    b not in honest.value_queries and b not in honest.demand_queries
+                )
+                reused += outcome is honest
+        assert reused == expected > seeds
 
 
 class TestCoinCalls:

@@ -2,6 +2,7 @@
 params, against worked examples and the nested reference construction."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,26 @@ def test_ceil_log_exact_boundaries():
     assert ceil_log(Fraction(4), Fraction(257)) == 5
     assert ceil_log(Fraction(4), Fraction(1)) == 0
     assert ceil_log(Fraction(40), Fraction(1600)) == 2
+
+
+def test_params_hash_is_worked_out_once(monkeypatch):
+    """A ``Params`` hashes as its fields do, equal parameters alike, and
+    hashes its ``Fraction``s on the first ``hash`` only."""
+    params = solve_parameters(Fraction(1, 3), Fraction(400))
+    copy = Params(*(getattr(params, f.name) for f in fields(Params)))
+    fields_hash = hash(tuple(getattr(params, f.name) for f in fields(Params)))
+    hashed = []
+    real = Fraction.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    assert hash(params) == hash(copy) == fields_hash
+    assert len(hashed) == 6
+    assert {params: 1}[copy] == 1 and params == copy
+    assert len(hashed) == 6
 
 
 FOUR_BINS = Params(2, 2, Fraction(4), Fraction(1), Fraction(256))

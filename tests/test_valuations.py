@@ -363,6 +363,8 @@ class TestOneForm:
             (1, (), None, "an XOS valuation needs at least one clause"),
             (1, ((1, 2), (1,)), None, "clauses disagree on item count"),
             (2, ((1, -2),), None, "negative clause entry -1"),
+            (2, ((1, 3), (0, -3, -1)), None, "negative clause entry -3/2"),
+            (1, ((), (-4,)), None, "negative clause entry -4"),
             (2, ((1, -2),), 4, "negative item value -1"),
             (2, ((1, 2),), -1, "negative budget -1/2"),
             (1, ((1,), (2,)), 3, "a budget-additive valuation has one row, got 2"),
@@ -374,6 +376,8 @@ class TestOneForm:
             "no-rows",
             "ragged-rows",
             "negative-entry",
+            "first-negative-before-ragged",
+            "negative-after-empty-row",
             "negative-item-value",
             "negative-cap",
             "capped-rows",
