@@ -352,14 +352,15 @@ LIE_VALUE_RANGE = (Fraction(1), Fraction(100))
 
 
 def _deviation(
-    rng: random.Random, m: int, grid: int, entry: Draw, budget: Draw
+    rng: random.Random, m: int, grid: int, entry: Draw, budget: Draw, hidden: Valuation
 ) -> Valuation:
-    """A random lie: a worthless report, an XOS report of 1-3 clauses, or a
-    budget-additive report, with entries and budget drawn by ``entry`` and
-    ``budget`` as numerators over ``grid``."""
+    """A random lie: ``hidden``, the worthless report over ``m`` items, which
+    a sweep builds once; an XOS report of 1-3 clauses; or a budget-additive
+    report, with entries and budget drawn by ``entry`` and ``budget`` as
+    numerators over ``grid``."""
     kind = rng.random()
     if kind < 0.15:
-        return Valuation(1, ((0,) * m,))  # hide entirely
+        return hidden  # hide entirely
     if kind < 0.55:
         rows = [[entry(rng) for _ in range(m)] for _ in range(rng.randint(1, 3))]
         return on_grid(grid, rows)
@@ -369,14 +370,14 @@ def _deviation(
 
 def _query_budget_check(outcome: MechanismOutcome, seed: int) -> list[dict]:
     """Bidders demand-queried more than alpha times, or at all outside the
-    learning groups: the statistics group gets no demand query."""
-    if outcome.params is None or not outcome.demand_queries:
+    learning groups: in the statistics group or in a second-price run."""
+    if not outcome.demand_queries:
         return []
     grouped = {b for group in outcome.groups for b in group}
     return [
         {"seed": seed, "bidder": bidder, "demand_queries": count}
         for bidder, count in outcome.demand_queries.items()
-        if count > outcome.params.alpha or bidder not in grouped
+        if bidder not in grouped or count > outcome.params.alpha
     ]
 
 
@@ -418,8 +419,9 @@ def truthfulness_report(
     Every deviation replays the honest run's tape, and the mechanism reads a
     report only through a query it records, so a lie by a bidder the honest
     run never queried cannot change that run: ``final_mechanism`` returns the
-    honest outcome the tape keeps, without running. Such a lie is still
-    drawn and checked, so the lies after it and the report are the same.
+    honest outcome itself, without running, and it takes the honest run's
+    verdict. Such a lie is still drawn and handed over, so the lies after it
+    and the report are the same; a lie that hides entirely is one object.
     """
     if seeds < 1:
         raise ConfigError(f"seeds must be at least 1, got {seeds}")
@@ -434,6 +436,7 @@ def truthfulness_report(
     grid, (low, high, top) = _cents_grid(lo / 2, hi * 2, hi * m)
     entry = _log_uniform_cents(low, high, grid)
     budget = _log_uniform_cents(low, top, grid)
+    hidden = Valuation(1, ((0,) * m,))  # every lie that hides entirely
     violations: list[dict] = []
     budget_violations: list[dict] = []
     runs = 0
@@ -446,18 +449,20 @@ def truthfulness_report(
         tape = CoinTape(seed)
         honest = final_mechanism(bidders, m, tape)
         runs += 1
-        budget_violations.extend(_query_budget_check(honest, seed))
+        honest_over = _query_budget_check(honest, seed)
+        budget_violations.extend(honest_over)
         base = {b: utility_terms(honest, b, v) for b, v in bidders}
         for b, truth in bidders:
             for _ in range(deviations):
-                lie = _deviation(rng, m, grid, entry, budget)
+                lie = _deviation(rng, m, grid, entry, budget, hidden)
                 twisted = list(bidders)
                 twisted[b] = (b, lie)
                 outcome = final_mechanism(twisted, m, tape.replay())
                 runs += 1
                 checked += 1
-                over = _query_budget_check(outcome, seed)
-                gain = _gain(utility_terms(outcome, b, truth), base[b])
+                fresh = outcome is not honest  # else the honest verdict: no gain
+                over = _query_budget_check(outcome, seed) if fresh else honest_over
+                gain = fresh and _gain(utility_terms(outcome, b, truth), base[b])
                 if over or gain:
                     replay = {
                         "lie": valuation_to_dict(lie),

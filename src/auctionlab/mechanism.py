@@ -281,6 +281,14 @@ class MechanismOutcome:
         return _range_tree(self.params, self.parity)
 
 
+def _outcome(**decided) -> MechanismOutcome:
+    """``MechanismOutcome(**decided)``, ``demand_queries`` given, without the
+    frozen ``__init__``'s 14 field sets (1.5 µs a run); defaults come off the class."""
+    outcome = object.__new__(MechanismOutcome)
+    vars(outcome).update(decided)
+    return outcome
+
+
 def _halve(vector: PriceVector) -> PriceVector:
     return tuple(p / 2 for p in vector)
 
@@ -310,34 +318,30 @@ Bounds = tuple[int, int, int, int]
 @lru_cache(maxsize=32)
 def _first_prices(
     bounds: Bounds, parity: str, m: int
-) -> tuple[Params, PriceVector, tuple[PriceVector, ...], tuple[PriceVector, ...]]:
+) -> tuple[Params, PriceVector, tuple[PriceVector, ...]]:
     """A range's parameters, its root price vector over ``m`` items, and
-    iteration 1's alpha canonical vectors with their halves, scaled from the
-    unit tree of the range's ratio. The root vector is constant, so
-    iteration 1's vectors are the constant vectors of the root's children.
-    All of it is frozen: replays of a tape against different reports share
-    it. The cache is small because a sweep revisits only a few ranges.
+    iteration 1's alpha canonical vectors, scaled from the unit tree of the
+    range's ratio: the constant vectors of the root's children, halved only
+    by a run whose group has bidders. All of it is frozen: replays of a tape
+    against different reports share it. The cache is small because a sweep
+    revisits only a few ranges.
 
     The range comes as integer ``Bounds``, so a cache hit hashes and
     compares ints only. A miss checks the range and looks the unit tree up
     on the integers, and builds each price once from integer products."""
     lo_num, lo_den, hi_num, hi_den = bounds
-    psi_min, psi_max = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
+    ends = psi_min, psi_max = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
     num, den = hi_num * lo_den, hi_den * lo_num  # psi_max / psi_min = num / den
-    if lo_num <= 0 or num < den:  # psi_min <= 0 or psi_max < psi_min
-        check_range(psi_min, psi_max)  # raises the range's DomainError
+    check_range(psi_min, psi_max)
     g = gcd(num, den)
     unit = _unit_tree(num // g, den // g, parity)
     unit_params = unit.params
-    params = Params(
-        unit_params.alpha, unit_params.beta, unit_params.gamma, psi_min, psi_max
-    )
+    params = Params(unit_params.alpha, unit_params.beta, unit_params.gamma, *ends)
     root, *children = [p.as_integer_ratio() for p in unit.prices(1) + unit.prices(2)]
     return (
         params,
         (Fraction(lo_num * root[0], lo_den * root[1]),) * m,
         tuple((Fraction(lo_num * a, lo_den * b),) * m for a, b in children),
-        tuple((Fraction(lo_num * a, 2 * lo_den * b),) * m for a, b in children),
     )
 
 
@@ -357,7 +361,7 @@ def price_learning_mechanism(
     """
     lo, hi = as_rational(psi_min), as_rational(psi_max)
     bounds = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-    return MechanismOutcome(value_queries={}, **_learning_run(bidders, m, bounds, tape))
+    return _outcome(value_queries={}, **_learning_run(bidders, m, bounds, tape))
 
 
 def _learning_run(
@@ -370,10 +374,9 @@ def _learning_run(
     demand-queried in ``bundles``, so ``demand_queries`` counts those keys
     over every auction held: each iteration's and a completed run's last."""
     parity = tape.tree_parity()
-    params, prices, vectors, halves = _first_prices(bounds, parity, m)
-    ids = [b for b, _ in bidders]
+    params, prices, vectors = _first_prices(bounds, parity, m)
     by_id = dict(bidders)
-    groups = partition_bidders(ids, params.beta, tape)
+    groups = partition_bidders([b for b, _ in bidders], params.beta, tape)
     items = range(m)
 
     learned = [prices]
@@ -386,17 +389,17 @@ def _learning_run(
     for i in range(1, params.beta + 1):
         if i > 1:
             vectors = tuple(canonical_vectors(_range_tree(params, parity), prices, i))
-            halves = tuple(_halve(v) for v in vectors)
         group = [(b, by_id[b]) for b in groups[i - 1]]
-        if group:
+        if group:  # auctions post half prices; iteration 1's are constant
+            halves = [_halve(v[:1]) * m if i == 1 else _halve(v) for v in vectors]
             allocations = tuple(fixed_price_auction(group, items, h) for h in halves)
             welfares = tuple(welfare(a, by_id) for a in allocations)
         else:
             # What alpha auctions without bidders give. A fresh Allocation
             # per iteration: its dicts are mutable, and the pick may make it
             # the outcome's allocation.
-            allocations = (Allocation({}, {}),) * len(halves)
-            welfares = (ZERO,) * len(halves)
+            allocations = (Allocation({}, {}),) * len(vectors)
+            welfares = (ZERO,) * len(vectors)
         records.append(IterationRecord(i, vectors, allocations, welfares))
         stop = params.beta == 1 or tape.stop_coin(params.beta)
         pick = tape.pick_auction(params.alpha)
@@ -507,11 +510,12 @@ def _final_run(bidders: Sequence[Bidder], m: int, tape: CoinTape) -> MechanismOu
     if tape.second_price_branch():
         allocation = second_price_grand_bundle(bidders, range(m))
         ((winner, lot),) = allocation.bundles.items()
-        return MechanismOutcome(
+        return _outcome(
             allocation=allocation,
             welfare=next(value_query(v, lot) for b, v in bidders if b == winner),
             branch=SECOND_PRICE,
             value_queries={b: 1 for b, _ in bidders},
+            demand_queries={},
         )
 
     flags = tape.sample_statistics_group(len(bidders))
@@ -519,7 +523,7 @@ def _final_run(bidders: Sequence[Bidder], m: int, tape: CoinTape) -> MechanismOu
     mech = [b for b, f in zip(bidders, flags) if not f]
 
     stat_welfare = greedy_marginal_value(stat, range(m))
-    return MechanismOutcome(
+    return _outcome(
         value_queries={b: m for b, _ in stat},
         statistics_group=tuple(b for b, _ in stat),
         statistics_welfare=stat_welfare,

@@ -63,7 +63,7 @@ class Params:
             raise DomainError(f"alpha must be an integer >= 2, got {self.alpha}")
         if self.beta < 1:
             raise DomainError(f"beta must be an integer >= 1, got {self.beta}")
-        if self.gamma <= 1:
+        if self.gamma.numerator <= self.gamma.denominator:  # gamma <= 1
             raise DomainError(f"gamma must exceed 1, got {self.gamma}")
         check_range(self.psi_min, self.psi_max)
 
@@ -85,10 +85,11 @@ class Params:
 
 
 def check_range(psi_min: Fraction, psi_max: Fraction) -> None:
-    """A price range must have 0 < psi_min <= psi_max."""
-    if psi_min <= 0:
+    """A price range must have 0 < psi_min <= psi_max, decided on integers."""
+    lo_num, lo_den = psi_min.numerator, psi_min.denominator
+    if lo_num <= 0:
         raise DomainError(f"psi_min must be positive, got {psi_min}")
-    if psi_max < psi_min:
+    if psi_max.numerator * lo_den < lo_num * psi_max.denominator:
         raise DomainError("psi_max must be at least psi_min")
 
 

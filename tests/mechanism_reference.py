@@ -108,9 +108,8 @@ def reference_range(stat_welfare: Fraction, m: int) -> tuple[Fraction, Fraction]
 
 
 def reference_first_prices(psi_min: Fraction, psi_max: Fraction, parity: str, m: int):
-    """A range's ``Params``, root vector, and iteration 1's vectors and their
-    halves, scaled from a unit tree built afresh for the ``Fraction`` ratio
-    of its ends."""
+    """A range's ``Params``, root vector, and iteration 1's vectors, scaled
+    from a unit tree built afresh for the ``Fraction`` ratio of its ends."""
     check_range(psi_min, psi_max)
     ratio = psi_max / psi_min
     unit = build_modified_tree(solve_parameters(1, ratio), parity)
@@ -121,7 +120,6 @@ def reference_first_prices(psi_min: Fraction, psi_max: Fraction, parity: str, m:
         params,
         (psi_min * unit.prices(1)[0],) * m,
         tuple((p,) * m for p in children),
-        tuple((p / 2,) * m for p in children),
     )
 
 
@@ -134,7 +132,7 @@ def reference_learning_mechanism(
     auction runs, an empty group's too."""
     parity = tape.tree_parity()
     first = reference_first_prices(Fraction(psi_min), Fraction(psi_max), parity, m)
-    params, prices, vectors, halves = first
+    params, prices, vectors = first
     tree = build_modified_tree(params, parity)
     by_id = dict(bidders)
     groups = partition_bidders([b for b, _ in bidders], params.beta, tape)
@@ -143,7 +141,7 @@ def reference_learning_mechanism(
     for i in range(1, params.beta + 1):
         if i > 1:
             vectors = tuple(canonical_vectors(tree, prices, i))
-            halves = tuple(tuple(p / 2 for p in v) for v in vectors)
+        halves = tuple(tuple(p / 2 for p in v) for v in vectors)
         group = [(b, by_id[b]) for b in groups[i - 1]]
         allocations = tuple(fixed_price_auction(group, range(m), h) for h in halves)
         welfares = tuple(welfare(a, by_id) for a in allocations)

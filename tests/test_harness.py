@@ -56,6 +56,8 @@ from auctionlab.mechanism import (
 from auctionlab.rationals import ZERO, format_rational
 from auctionlab.valuations import additive, budget_additive, on_grid, value_query, xos
 
+from sweep_reference import reference_truthfulness_report
+
 
 def reference_log_uniform(rng, lo, hi):
     """The per-entry Fraction draw: the reference for the cents-grid draw."""
@@ -394,6 +396,84 @@ class TestExperiments:
             ExperimentConfig(inst, trials=0)
 
 
+def plant_free_grand_bundle(real):
+    """A mechanism that lets the second-price winner keep the grand bundle
+    for free, which rewards overbidding."""
+
+    def free_grand_bundle(bidders, m, tape):
+        outcome = real(bidders, m, tape)
+        if outcome.branch != SECOND_PRICE:
+            return outcome
+        return replace(outcome, allocation=Allocation(outcome.allocation.bundles, {}))
+
+    return free_grand_bundle
+
+
+def plant_statistics_query(real, planted):
+    """A mechanism that demand-queries one statistics-group bidder once,
+    within the per-bidder budget of alpha, noting it in ``planted``."""
+
+    def query_statistics_group(bidders, m, tape):
+        outcome = real(bidders, m, tape)
+        if not outcome.statistics_group:
+            return outcome
+        stray = outcome.statistics_group[0]
+        planted.append(stray)
+        return replace(outcome, demand_queries={**outcome.demand_queries, stray: 1})
+
+    return query_statistics_group
+
+
+def plant_once(real, runs, planted):
+    """A mechanism that plants an over-budget count on the first deviating
+    learning run of a 3-bidder sweep with 3 deviations, noting its run
+    index, bidders and real outcome in ``planted``."""
+
+    def planted_once(bidders, m, tape):
+        outcome = real(bidders, m, tape)
+        runs.append(outcome)
+        # Each seed runs the honest report first, then 3 lies per bidder.
+        if planted or len(runs) % 10 == 1 or outcome.params is None:
+            return outcome
+        planted.append((len(runs) - 1, list(bidders), outcome))
+        over = {outcome.groups[-1][0]: outcome.params.alpha + 1}
+        return replace(outcome, demand_queries={**outcome.demand_queries, **over})
+
+    return planted_once
+
+
+def plant_on_honest(real):
+    """A mechanism that demand-queries bidder 0 99 times on every honest run,
+    the first on a tape's record, and returns that planted outcome again to
+    every replay that reuses the run: the sweep then sees the honest outcome
+    itself, over budget, on the replays of lies the run never read."""
+    pairs = []
+
+    def over_on_honest(bidders, m, tape):
+        honest = not tape._kept
+        outcome = real(bidders, m, tape)
+        if honest:
+            queries = {**outcome.demand_queries, bidders[0][0]: 99}
+            pairs.append((outcome, replace(outcome, demand_queries=queries)))
+        return next((p for r, p in pairs if r is outcome), outcome)
+
+    return over_on_honest
+
+
+def plant_second_price_query(real):
+    """A mechanism that demand-queries the second-price winner once: the
+    second-price branch asks no demand query."""
+
+    def query_winner(bidders, m, tape):
+        outcome = real(bidders, m, tape)
+        if outcome.branch != SECOND_PRICE:
+            return outcome
+        (winner,) = outcome.allocation.bundles
+        return replace(outcome, demand_queries={winner: 1})
+
+    return query_winner
+
+
 class TestTruthfulnessReport:
     def test_clean_on_small_instance(self):
         inst = generate_instance(GeneratorSpec(3, 2, seed=14))
@@ -407,16 +487,7 @@ class TestTruthfulnessReport:
         grand bundle for free rewards overbidding. Each violation it shows
         names a lie that reloads from the instance format and, replayed at
         the violation's seed, gives the reported gain."""
-        real = harness.final_mechanism
-
-        def free_grand_bundle(bidders, m, tape):
-            outcome = real(bidders, m, tape)
-            if outcome.branch != SECOND_PRICE:
-                return outcome
-            return replace(
-                outcome, allocation=Allocation(outcome.allocation.bundles, {})
-            )
-
+        free_grand_bundle = plant_free_grand_bundle(harness.final_mechanism)
         monkeypatch.setattr(harness, "final_mechanism", free_grand_bundle)
         inst = generate_instance(GeneratorSpec(3, 2, seed=14))
         m, bidders = inst.item_count, inst.bidders()
@@ -444,20 +515,9 @@ class TestTruthfulnessReport:
         sweep reports that bidder on every learning run that sampled one.
         Violations in deviating runs also name the deviator, the lie and the
         instance."""
-        real = harness.final_mechanism
         planted = []
-
-        def query_statistics_group(bidders, m, tape):
-            outcome = real(bidders, m, tape)
-            if not outcome.statistics_group:
-                return outcome
-            stray = outcome.statistics_group[0]
-            planted.append(stray)
-            return replace(
-                outcome, demand_queries={**outcome.demand_queries, stray: 1}
-            )
-
-        monkeypatch.setattr(harness, "final_mechanism", query_statistics_group)
+        planting = plant_statistics_query(harness.final_mechanism, planted)
+        monkeypatch.setattr(harness, "final_mechanism", planting)
         inst = generate_instance(GeneratorSpec(3, 2, seed=14))
         report = truthfulness_report(inst, seeds=4, deviations=3)
         assert planted
@@ -516,20 +576,8 @@ class TestTruthfulnessReport:
         entry, and the instance digest. The lie, reloaded and replayed at
         the violation's seed, gives the run the count was planted on."""
         real = harness.final_mechanism
-        runs = []
         planted = []
-
-        def plant_once(bidders, m, tape):
-            outcome = real(bidders, m, tape)
-            runs.append(outcome)
-            # Each seed runs the honest report first, then 3 lies per bidder.
-            if planted or len(runs) % 10 == 1 or outcome.params is None:
-                return outcome
-            planted.append((len(runs) - 1, list(bidders), outcome))
-            over = {outcome.groups[-1][0]: outcome.params.alpha + 1}
-            return replace(outcome, demand_queries={**outcome.demand_queries, **over})
-
-        monkeypatch.setattr(harness, "final_mechanism", plant_once)
+        monkeypatch.setattr(harness, "final_mechanism", plant_once(real, [], planted))
         inst = generate_instance(GeneratorSpec(3, 2, seed=14))
         m, bidders = inst.item_count, inst.bidders()
         report = truthfulness_report(inst, seeds=4, deviations=3)
@@ -550,6 +598,54 @@ class TestTruthfulnessReport:
         assert twisted == reported
         assert real(twisted, m, CoinTape(seed)) == outcome
 
+    def test_second_price_demand_query_reported(self):
+        """A second-price run has no groups, so any demand query on it lies
+        outside them and is reported, whatever its count."""
+        inst = generate_instance(GeneratorSpec(3, 2, seed=14))
+        outcome = final_mechanism(inst.bidders(), 2, CoinTape(0))
+        assert outcome.branch == SECOND_PRICE
+        assert harness._query_budget_check(outcome, 0) == []
+        planted = replace(outcome, demand_queries={0: 1})
+        assert harness._query_budget_check(planted, 0) == [
+            {"seed": 0, "bidder": 0, "demand_queries": 1}
+        ]
+        counts = {2: 1, 0: 2, 7: 1}
+        assert harness._query_budget_check(
+            replace(outcome, demand_queries=counts), 5
+        ) == [
+            {"seed": 5, "bidder": b, "demand_queries": c} for b, c in counts.items()
+        ]
+
+    def test_second_price_demand_query_in_a_sweep(self, monkeypatch):
+        """A planted mechanism that demand-queries the second-price winner is
+        reported on honest and deviating runs; a deviating run's violation
+        names the deviator, the lie and the instance, and the lie, reloaded
+        and replayed at its seed, gives a second-price run whose winner is
+        the reported bidder."""
+        real = harness.final_mechanism
+        monkeypatch.setattr(harness, "final_mechanism", plant_second_price_query(real))
+        inst = generate_instance(GeneratorSpec(3, 2, seed=14))
+        m, bidders = inst.item_count, inst.bidders()
+        report = truthfulness_report(inst, seeds=4, deviations=3)
+        honest = [v for v in report.query_budget_violations if "deviator" not in v]
+        deviating = [v for v in report.query_budget_violations if "deviator" in v]
+        assert honest and deviating
+        for violation in honest:
+            assert set(violation) == {"seed", "bidder", "demand_queries"}
+            outcome = real(bidders, m, CoinTape(violation["seed"]))
+            assert outcome.branch == SECOND_PRICE
+            assert violation["bidder"] in outcome.allocation.bundles
+        for violation in deviating:
+            assert violation["instance"] == harness.instance_digest(inst)
+            assert violation["demand_queries"] == 1
+            lie = instance_from_dict({"m": m, "bidders": [violation["lie"]]})
+            twisted = list(bidders)
+            b = violation["deviator"]
+            twisted[b] = (b, lie.valuations[0])
+            outcome = real(twisted, m, CoinTape(violation["seed"]))
+            assert outcome.branch == SECOND_PRICE
+            assert violation["bidder"] in outcome.allocation.bundles
+
     def test_deviations_match_reference(self):
         for (lo, hi), m in itertools.product(DRAW_RANGES, range(1, 7)):
             fast, slow = random.Random(m), random.Random(m)
@@ -557,7 +653,7 @@ class TestTruthfulnessReport:
             entry = _log_uniform_cents(low, high, grid)
             budget = _log_uniform_cents(low, top, grid)
             for _ in range(300):
-                lie = _deviation(fast, m, grid, entry, budget)
+                lie = _deviation(fast, m, grid, entry, budget, xos([0] * m))
                 assert integer_form(lie) == integer_form(
                     reference_deviation(slow, m, lo, hi)
                 ), (lo, hi, m)
@@ -571,7 +667,8 @@ class TestTruthfulnessReport:
             rng = random.Random(m)
             entry = _log_uniform_cents(50, 20000, 100)
             budget = _log_uniform_cents(50, 10000 * m, 100)
-            lies = [_deviation(rng, m, 100, entry, budget) for _ in range(2000)]
+            hidden = xos([0] * m)
+            lies = [_deviation(rng, m, 100, entry, budget, hidden) for _ in range(2000)]
             text = json.dumps(
                 instance_to_dict(Instance(m, tuple(lies))),
                 sort_keys=True,
@@ -579,6 +676,97 @@ class TestTruthfulnessReport:
             )
             digests[m] = hashlib.sha256(text.encode()).hexdigest()
         assert digests == LIE_DIGESTS
+
+
+TRUTHTEST_SHAPES = [
+    (n, m, harness.FAMILIES[(n + m) % 3])
+    for n in range(1, 6)
+    for m in range(1, 7)
+    if (n, m) != (1, 1)
+]
+
+
+def beta_flip_instance():
+    """The 2 x 15 additive instance with bidder 0 worthless, on which a lie
+    of worth moves beta from 1 to 2 on the runs that sample only bidder 0."""
+    spec = GeneratorSpec(2, 15, "additive", seed=215)
+    data = instance_to_dict(generate_instance(spec))
+    data["bidders"][0]["clauses"] = [["0"] * data["m"]]
+    return instance_from_dict(data)
+
+
+class TestSweepMatchesReference:
+    """The sweep, which takes the honest run's verdict for a replay that
+    returns the honest outcome and hands over one worthless lie, reports
+    exactly what ``reference_truthfulness_report`` does, checking in full."""
+
+    def assert_same(self, inst, seeds, deviations, deviation_seed=0):
+        fast = truthfulness_report(
+            inst, seeds, deviations, deviation_seed=deviation_seed
+        )
+        slow = reference_truthfulness_report(
+            inst, seeds, deviations, deviation_seed=deviation_seed
+        )
+        assert fast == slow
+        return fast
+
+    def test_truthtest_shapes(self):
+        assert len(TRUTHTEST_SHAPES) == 29
+        for k, (n, m, family) in enumerate(TRUTHTEST_SHAPES):
+            inst = generate_instance(GeneratorSpec(n, m, family, seed=100_000 + k))
+            report = self.assert_same(inst, seeds=4, deviations=3, deviation_seed=k)
+            assert report.clean
+
+    def test_crowd(self):
+        inst = generate_instance(GeneratorSpec(30, 4, "xos-random", seed=1))
+        assert self.assert_same(inst, seeds=25, deviations=2).clean
+
+    def test_beta_flip_instance(self):
+        assert self.assert_same(beta_flip_instance(), seeds=8, deviations=3).clean
+
+    @pytest.mark.parametrize(
+        "plant",
+        [
+            lambda real: plant_free_grand_bundle(real),
+            lambda real: plant_statistics_query(real, []),
+            lambda real: plant_once(real, [], []),
+            plant_on_honest,
+            plant_second_price_query,
+        ],
+        ids=["free-grand-bundle", "statistics-query", "once", "honest", "second-price"],
+    )
+    def test_planted_mechanisms(self, monkeypatch, plant):
+        """Each side runs under a plant of its own; every plant shows."""
+        real = harness.final_mechanism
+        inst = generate_instance(GeneratorSpec(3, 2, seed=14))
+        monkeypatch.setattr(harness, "final_mechanism", plant(real))
+        fast = truthfulness_report(inst, seeds=4, deviations=3)
+        monkeypatch.setattr(harness, "final_mechanism", plant(real))
+        slow = reference_truthfulness_report(inst, seeds=4, deviations=3)
+        assert fast == slow
+        assert not fast.clean
+
+    def test_honest_violation_reused_with_the_deviator(self, monkeypatch):
+        """A violation planted on the honest run, whose outcome the replays
+        of lies it never read return again, is reported once for the honest
+        run and once per such replay, with the deviator and the lie."""
+        real = harness.final_mechanism
+        monkeypatch.setattr(harness, "final_mechanism", plant_on_honest(real))
+        inst = generate_instance(GeneratorSpec(3, 2, seed=14))
+        report = truthfulness_report(inst, seeds=4, deviations=3)
+        honest = [v for v in report.query_budget_violations if "deviator" not in v]
+        assert [v["seed"] for v in honest] == [0, 1, 2, 3]
+        reused = [
+            v
+            for v in report.query_budget_violations
+            if "deviator" in v and v["bidder"] == 0 and v["demand_queries"] == 99
+        ]
+        assert reused
+        for violation in reused:
+            assert violation["instance"] == harness.instance_digest(inst)
+            assert set(violation) == {
+                "seed", "bidder", "demand_queries", "deviator", "lie", "instance"
+            }
 
 
 class TestIntegerGains:

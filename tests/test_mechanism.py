@@ -744,13 +744,12 @@ class TestPriceLearningMechanism:
             assert _range_tree(fresh, parity) == tree
             for m in (0, 1, 3, 8):
                 bounds = bounds_of(lo, hi)
-                params, root, vectors, halves = _first_prices(bounds, parity, m)
+                params, root, vectors = _first_prices(bounds, parity, m)
                 assert params == fresh
                 assert root == (tree.prices(1)[0],) * m
                 reference = canonical_vectors(tree, root, 1)
                 assert vectors == tuple(reference)
-                assert halves == tuple(_halve(v) for v in reference)
-                assert len(halves) == ALPHA
+                assert len(vectors) == ALPHA
         for seed in range(6):
             run = price_learning_mechanism(bidders, 3, psi_min, psi_max, CoinTape(seed))
             assert run.params == fresh
@@ -867,12 +866,11 @@ class TestPricesByShape:
             fresh = solve_parameters(lo, hi)
             wide += fresh.beta == 2
             tree = build_modified_tree(fresh, parity)
-            params, root, vectors, halves = _first_prices(bounds_of(lo, hi), parity, m)
+            params, root, vectors = _first_prices(bounds_of(lo, hi), parity, m)
             assert params == fresh
             assert root == (tree.prices(1)[0],) * m
             reference = canonical_vectors(tree, root, 1)
             assert vectors == tuple(reference)
-            assert halves == tuple(_halve(v) for v in reference)
             run = price_learning_mechanism([], m, lo, hi, CoinTape(k))
             assert run.tree == build_modified_tree(fresh, run.parity)
         assert wide >= 150
@@ -935,8 +933,8 @@ class TestPricesByShape:
             return
         got = _first_prices(bounds, parity, m)
         assert got == reference
-        params, root, vectors, halves = got
-        prices = (params.psi_min, params.psi_max, *root, *sum(vectors + halves, ()))
+        params, root, vectors = got
+        prices = (params.psi_min, params.psi_max, *root, *sum(vectors, ()))
         assert all(type(p) is Fraction for p in prices)
 
     @pytest.mark.parametrize("m", [1, 2, 7])
@@ -1311,6 +1309,34 @@ class TestRunRecord:
                 tuple(welfare(a, by_id) for a in allocations),
             )
         assert out.welfare == welfare(out.allocation, by_id)
+
+    def test_non_empty_group_auctions_post_half_prices(self):
+        """Every auction of a group with bidders is held at ``_halve`` of its
+        iteration's vector, iteration 1's halves worked out by the run rather
+        than cached with the range's first prices, and each run equals the
+        reference learning mechanism's. Thirty bidders give a non-empty
+        first group, and some of its auctions sell."""
+        instance = harness.generate_instance(harness.GeneratorSpec(30, 4, seed=1))
+        bidders, m = instance.bidders(), instance.item_count
+        by_id = dict(bidders)
+        held = sold = 0
+        for seed in range(40):
+            fast = final_mechanism(bidders, m, CoinTape(seed))
+            slow = reference_final_mechanism(
+                bidders, m, CoinTape(seed), learn=reference_learning_mechanism
+            )
+            assert fast == slow, seed
+            for record, group in zip(fast.iterations, fast.groups):
+                if not group:
+                    continue
+                arrivals = [(b, by_id[b]) for b in group]
+                assert record.allocations == tuple(
+                    fixed_price_auction(arrivals, range(m), _halve(v))
+                    for v in record.vectors
+                ), seed
+                held += len(record.allocations)
+                sold += sum(bool(a.allocated_items) for a in record.allocations)
+        assert held > 0 and sold > 0
 
 
 class TestParticipation:

@@ -18,6 +18,7 @@ from auctionlab.price_tree import (
     build_modified_tree,
     canonical_vectors,
     ceil_log,
+    check_range,
     solve_parameters,
     validate_parameter_equations,
 )
@@ -109,6 +110,87 @@ def test_params_hash_is_worked_out_once(monkeypatch):
 
 
 FOUR_BINS = Params(2, 2, Fraction(4), Fraction(1), Fraction(256))
+
+
+def reference_range_error(gamma, psi_min, psi_max):
+    """The message ``Params`` raised when it compared ``Fraction``s, or None."""
+    if gamma <= 1:
+        return f"gamma must exceed 1, got {gamma}"
+    if psi_min <= 0:
+        return f"psi_min must be positive, got {psi_min}"
+    if psi_max < psi_min:
+        return "psi_max must be at least psi_min"
+    return None
+
+
+def range_error(gamma, psi_min, psi_max):
+    """The message ``Params`` raises on integers, or None; ``check_range``
+    must raise the same for the ends whenever gamma is valid."""
+    try:
+        Params(2, 1, gamma, psi_min, psi_max)
+    except DomainError as exc:
+        message = str(exc)
+    else:
+        message = None
+    if not message or not message.startswith("gamma"):
+        try:
+            check_range(psi_min, psi_max)
+        except DomainError as exc:
+            assert str(exc) == message
+        else:
+            assert message is None
+    return message
+
+
+class TestRangeMessages:
+    """``Params`` and ``check_range`` decide on numerators and denominators;
+    their messages are the ones the ``Fraction`` comparisons gave."""
+
+    @pytest.mark.parametrize(
+        "gamma, psi_min, psi_max, message",
+        [
+            (Fraction(1), 1, 2, "gamma must exceed 1, got 1"),
+            (1, 1, 2, "gamma must exceed 1, got 1"),
+            (Fraction(1, 2), 1, 2, "gamma must exceed 1, got 1/2"),
+            (Fraction(-3), 1, 2, "gamma must exceed 1, got -3"),
+            (Fraction(0), -1, -2, "gamma must exceed 1, got 0"),
+            (Fraction(41, 40), 1, 2, None),
+            (40, 0, 5, "psi_min must be positive, got 0"),
+            (40, Fraction(0), 0, "psi_min must be positive, got 0"),
+            (40, -1, 5, "psi_min must be positive, got -1"),
+            (40, Fraction(-1, 3), Fraction(-1, 6), "psi_min must be positive, got -1/3"),
+            (40, 5, 4, "psi_max must be at least psi_min"),
+            (40, Fraction(1, 2), Fraction(1, 3), "psi_max must be at least psi_min"),
+            (40, 1, 0, "psi_max must be at least psi_min"),
+            (40, Fraction(2, 3), Fraction(6, 10), "psi_max must be at least psi_min"),
+            (40, Fraction(7, 9), Fraction(7, 9), None),
+            (40, 5, 5, None),
+            (40, Fraction(10, 2), 5, None),
+            (40, Fraction(6, 4), Fraction(9, 6), None),
+            (40, 3, Fraction(12, 4), None),
+            (40, Fraction(3, 2), 2, None),
+        ],
+    )
+    def test_messages_are_pinned(self, gamma, psi_min, psi_max, message):
+        assert range_error(gamma, psi_min, psi_max) == message
+        assert reference_range_error(gamma, psi_min, psi_max) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ends=st.lists(
+            st.one_of(
+                st.integers(-5, 50),
+                st.fractions(min_value=-5, max_value=50, max_denominator=60),
+            ),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    def test_integer_decisions_match_fraction_comparisons(self, ends):
+        gamma, psi_min, psi_max = ends
+        assert range_error(gamma, psi_min, psi_max) == reference_range_error(
+            gamma, psi_min, psi_max
+        )
 
 
 class TestBins:
